@@ -21,13 +21,10 @@ from .constraints import (
     ConstraintSystem,
     GranularitySplit,
     arbitrage_gap,
-    build_constraints,
     build_split,
     constraints_for_weights,
-    fix_coefficients,
     split_from_config,
     split_to_config,
-    zero_intercept_constraints,
 )
 from .estimator import (
     Dataset,
@@ -101,7 +98,6 @@ __all__ = [
     "backtest",
     "bisquare_loss",
     "bisquare_weight",
-    "build_constraints",
     "build_regression_dataset",
     "build_split",
     "cascade",
@@ -112,7 +108,6 @@ __all__ = [
     "constraints_for_weights",
     "delivery_hours",
     "fit_method",
-    "fix_coefficients",
     "hampel_weight",
     "initial_weights",
     "irls_fit",
@@ -135,5 +130,4 @@ __all__ = [
     "split_to_config",
     "synthesize_market",
     "verify_consistency",
-    "zero_intercept_constraints",
 ]

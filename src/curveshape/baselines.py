@@ -7,6 +7,7 @@ import numpy as np
 from .constraints import ConstraintSystem, arbitrage_gap
 from .estimator import Dataset, FitResult
 from .exceptions import DataError
+from .robust import MAD_CONSISTENCY
 
 
 def ratio_average_fit(dataset: Dataset) -> np.ndarray:
@@ -32,10 +33,10 @@ def ratio_average_result(dataset: Dataset, system: ConstraintSystem | None = Non
     gamma = np.zeros(2 * dataset.n_children)
     gamma[0::2] = betas
     gap = float("nan")
-    if system is not None and system.n_rows:
+    if system is not None:
         gap = float(np.max(np.abs(arbitrage_gap(system, gamma))))
     residuals = dataset.y - dataset.x[:, None] * betas
-    scales = np.median(np.abs(residuals - np.median(residuals, axis=0)), axis=0) * 1.4826
+    scales = MAD_CONSISTENCY * np.median(np.abs(residuals - np.median(residuals, axis=0)), axis=0)
     return FitResult(
         gamma=gamma,
         case_weights=np.ones(dataset.n_cases),

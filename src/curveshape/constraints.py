@@ -108,19 +108,8 @@ class ConstraintSystem:
         return self.matrix.shape[1] // 2
 
 
-def build_constraints(split: GranularitySplit) -> ConstraintSystem:
-    """Canonical two-row non-arbitrage system for a split."""
-    k = split.n_children
-    matrix = np.zeros((2, 2 * k))
-    matrix[0, 0::2] = split.weights
-    matrix[1, 1::2] = split.weights
-    if np.linalg.matrix_rank(matrix) < 2:
-        raise DataError("constraint rows are linearly dependent")
-    return ConstraintSystem(matrix=matrix, rhs=np.array([1.0, 0.0]))
-
-
 def constraints_for_weights(weights) -> ConstraintSystem:
-    """Canonical system straight from a weight vector (no period bookkeeping)."""
+    """Canonical two-row non-arbitrage system for the split weights h."""
     w = np.asarray(weights, dtype=float)
     k = w.size
     matrix = np.zeros((2, 2 * k))
@@ -137,67 +126,6 @@ def arbitrage_gap(system: ConstraintSystem, gamma) -> np.ndarray:
             f"gamma has {g.shape} entries, expected ({system.matrix.shape[1]},)"
         )
     return system.matrix @ g - system.rhs
-
-
-def fix_coefficients(
-    system: ConstraintSystem, fixed: dict[int, float]
-) -> tuple[ConstraintSystem, list[int]]:
-    """Eliminate fixed gamma entries from the system.
-
-    Returns the reduced system plus the original indices of the remaining
-    columns.  Rows that lose all their support must already be satisfied by
-    the fixed values, otherwise the fixing is infeasible.
-    """
-    n = system.matrix.shape[1]
-    for idx in fixed:
-        if not 0 <= idx < n:
-            raise DataError(f"fixed index {idx} out of range for 2K={n}")
-    if not fixed:
-        return system, list(range(n))
-    free = [i for i in range(n) if i not in fixed]
-    fixed_idx = sorted(fixed)
-    fixed_vals = np.array([fixed[i] for i in fixed_idx])
-    rhs = system.rhs - system.matrix[:, fixed_idx] @ fixed_vals
-    matrix = system.matrix[:, free]
-    keep_rows = []
-    for j in range(matrix.shape[0]):
-        if np.any(matrix[j] != 0.0):
-            keep_rows.append(j)
-        elif abs(rhs[j]) > 1e-9:
-            raise DataError("infeasible fixing")
-    if not free:
-        return ConstraintSystem(np.zeros((0, 0)), np.zeros(0)), []
-    return ConstraintSystem(matrix[keep_rows], rhs[keep_rows]), free
-
-
-def expand_gamma(reduced_gamma, free_indices: list[int], fixed: dict[int, float], size: int) -> np.ndarray:
-    """Re-insert fixed values around a reduced solution."""
-    full = np.empty(size)
-    for i, idx in enumerate(free_indices):
-        full[idx] = reduced_gamma[i]
-    for idx, val in fixed.items():
-        full[idx] = val
-    return full
-
-
-def zero_intercept_constraints(k: int) -> ConstraintSystem:
-    """K selector rows forcing every intercept to zero (pure-scaling model)."""
-    if k < 1:
-        raise DataError("need at least one child")
-    matrix = np.zeros((k, 2 * k))
-    for j in range(k):
-        matrix[j, 2 * j + 1] = 1.0
-    return ConstraintSystem(matrix=matrix, rhs=np.zeros(k))
-
-
-def append_constraints(system: ConstraintSystem, extra: ConstraintSystem) -> ConstraintSystem:
-    """Stack two systems on the same coefficient vector."""
-    if system.matrix.shape[1] != extra.matrix.shape[1]:
-        raise DataError("constraint systems disagree in coefficient count")
-    return ConstraintSystem(
-        matrix=np.vstack([system.matrix, extra.matrix]),
-        rhs=np.concatenate([system.rhs, extra.rhs]),
-    )
 
 
 def split_to_config(split: GranularitySplit) -> dict:

@@ -10,15 +10,16 @@ residual distances until the intercepts stop moving.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSystem, arbitrage_gap, expand_gamma, fix_coefficients
+from .constraints import ConstraintSystem, arbitrage_gap, constraints_for_weights
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
 from .robust import MAD_CONSISTENCY, WeightFunctionSpec, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -63,6 +64,9 @@ class FitConfig:
     ``alpha_multiplier`` scales the constraint penalty alpha = c * N * s(Y)
     with s the pooled response scale; the string ``"auto"`` means c = 1.
     ``scale_estimator`` picks the column-residual standardization scale.
+    With ``feasibility_retry`` a fit whose arbitrage gap exceeds
+    ``feasibility_tolerance`` is re-run once at the exact
+    equality-constrained limit (alpha = inf).
     """
 
     weight_spec: WeightFunctionSpec = field(default_factory=WeightFunctionSpec)
@@ -128,7 +132,8 @@ class FitResult:
                 "iterations": self.iterations,
                 "converged": self.converged,
                 "arbitrage_gap_maxabs": float(self.arbitrage_gap_maxabs),
-                "alpha_used": float(self.alpha_used),
+                # The exact-limit fallback runs at alpha = inf, which strict JSON lacks.
+                "alpha_used": None if np.isinf(self.alpha_used) else float(self.alpha_used),
                 "residual_scales": [float(s) for s in self.residual_scales],
                 "degenerate_scale": self.degenerate_scale,
             },
@@ -144,13 +149,6 @@ def gamma_from_report(report: dict) -> np.ndarray:
         gamma[2 * j] = coeffs[f"A{j + 1}"]
         gamma[2 * j + 1] = coeffs[f"B{j + 1}"]
     return gamma
-
-
-def _column_scales(values: np.ndarray, estimator: str) -> np.ndarray:
-    if estimator == "qn":
-        return np.array([qn_scale(values[:, k]) for k in range(values.shape[1])])
-    med = np.median(values, axis=0)
-    return MAD_CONSISTENCY * np.median(np.abs(values - med), axis=0)
 
 
 def _initial_distances(
@@ -240,55 +238,72 @@ def penalized_wls_solve(
     case_weights,
     system: ConstraintSystem,
     alpha: float,
-    fixed: dict[int, float] | None = None,
+    fixed: dict[int, tuple[float, float]] | None = None,
 ) -> np.ndarray:
     """Exact minimizer of the weighted squares plus quadratic constraint penalty.
 
-    Rows of the intercept-augmented design are multiplied by the case
-    weights (the intercept column becomes the weight itself) and the
-    constraint rows enter scaled by sqrt(alpha).  Solved as one stacked
-    least squares problem; rank deficiency is an error.
+    Minimizes ``sum_ik w_i^2 (y_ik - A_k x_i - B_k)^2 + alpha |M gamma - r|^2``
+    for the canonical system ``M gamma = r`` of ``constraints_for_weights(h)``.
+    Every child shares x and the case weights, so with ``G`` the weighted
+    2x2 Gram of ``[x, 1]``, ``beta_k`` the per-child weighted OLS pair and
+    ``s0 = sum_k h_k beta_k - r``, the minimizer is the closed form
+    ``(A_k, B_k) = beta_k - h_k (G / alpha + |h|^2 I)^-1 s0``.  ``alpha = 0``
+    gives per-child OLS; ``alpha = inf`` gives the exact equality-constrained
+    least squares solution ``beta_k - h_k s0 / |h|^2`` (Golub & Van Loan's
+    LSE problem).  ``fixed`` maps child index -> (A, B): pinned children drop
+    out, shift r by ``h_j (A_j, B_j)`` and are returned unchanged.  A
+    rank-deficient weighted design is an error.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DataError("alpha must be nonnegative")
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if ya.ndim == 1:
         ya = ya[:, None]
-    w = np.asarray(case_weights, dtype=float)
     n, k = ya.shape
-    m = 2 * k
-    if system.matrix.shape[1] != m:
-        raise DataError("constraint system disagrees with response width")
-    n_rows = n * k + system.n_rows
-    design = np.zeros((n_rows, m))
-    target = np.zeros(n_rows)
-    wx = w * xa
-    for j in range(k):
-        rows = slice(j * n, (j + 1) * n)
-        design[rows, 2 * j] = wx
-        design[rows, 2 * j + 1] = w
-        target[rows] = w * ya[:, j]
-    if system.n_rows:
-        design[n * k :, :] = np.sqrt(alpha) * system.matrix
-        target[n * k :] = np.sqrt(alpha) * system.rhs
+    h = system.matrix[0, 0::2]
+    if h.size != k or not np.array_equal(system.matrix, constraints_for_weights(h).matrix):
+        raise DataError("penalized solve needs the canonical two-row system for K children")
+    pins = fixed or {}
+    for j in pins:
+        if not 0 <= j < k:
+            raise DataError(f"pinned child {j} out of range for K={k}")
+    gamma = np.empty((k, 2))
+    r = system.rhs.copy()
+    for j, pair in pins.items():
+        gamma[j] = pair
+        r -= h[j] * gamma[j]
+    free = [j for j in range(k) if j not in pins]
+    if not free:
+        if np.max(np.abs(r)) > 1e-9:
+            raise DataError("infeasible fixing")
+        return gamma.reshape(-1)
 
-    fixed = fixed or {}
-    if fixed:
-        free = [i for i in range(m) if i not in fixed]
-        if not free:
-            return expand_gamma(np.empty(0), [], fixed, m)
-        fixed_idx = sorted(fixed)
-        vals = np.array([fixed[i] for i in fixed_idx])
-        target = target - design[:, fixed_idx] @ vals
-        design = design[:, free]
-    else:
-        free = list(range(m))
-
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < len(free):
+    w2 = np.asarray(case_weights, dtype=float) ** 2
+    sw = float(w2.sum())
+    xbar = float(w2 @ xa) / sw if sw > 0.0 else 0.0
+    xc = xa - xbar
+    sxx = float(w2 @ xc**2)
+    # Rank test on the per-child design [w x, w] as numpy's lstsq makes it:
+    # a singular value below eps * n times the largest counts as zero
+    # (det G = sw * sxx, and trace G bounds the largest eigenvalue).
+    if not sw * sxx > (_EPS * n * (sxx + sw * (1.0 + xbar**2))) ** 2:
         raise NumericalError("rank-deficient weighted design")
-    return expand_gamma(solution, free, fixed, m)
+    yf = ya[:, free]
+    ybar = (w2 @ yf) / sw
+    slopes = (w2 * xc) @ (yf - ybar) / sxx
+    beta = np.column_stack([slopes, ybar - slopes * xbar])
+    hf = h[free]
+    s0 = hf @ beta - r
+    if alpha == 0.0:
+        correction = np.zeros(2)
+    elif np.isinf(alpha):
+        correction = s0 / (hf @ hf)
+    else:
+        gram = np.array([[sxx + sw * xbar**2, sw * xbar], [sw * xbar, sw]])
+        correction = np.linalg.solve(gram / alpha + (hf @ hf) * np.eye(2), s0)
+    gamma[free] = beta - np.outer(hf, correction)
+    return gamma.reshape(-1)
 
 
 def _resolve_alpha(config: FitConfig, dataset: Dataset) -> float:
@@ -304,7 +319,7 @@ def _fit_loop(
     system: ConstraintSystem,
     config: FitConfig,
     alpha: float,
-    fixed: dict[int, float] | None,
+    fixed: dict[int, tuple[float, float]] | None,
 ) -> FitResult:
     spec = config.weight_spec
     d_x, d_y, degen = _initial_distances(dataset, config.center_for_distances)
@@ -328,7 +343,7 @@ def _fit_loop(
                 converged = True
                 break
         intercepts_prev = intercepts
-    gap = float(np.max(np.abs(arbitrage_gap(system, gamma)))) if system.n_rows else 0.0
+    gap = float(np.max(np.abs(arbitrage_gap(system, gamma))))
     return FitResult(
         gamma=gamma,
         case_weights=weights,
@@ -346,23 +361,24 @@ def irls_fit(
     dataset: Dataset,
     system: ConstraintSystem,
     config: FitConfig | None = None,
-    fixed: dict[int, float] | None = None,
+    fixed: dict[int, tuple[float, float]] | None = None,
 ) -> FitResult:
     """Full iteratively reweighted fit.
 
     Starts from coarse outlyingness weights, alternates the penalized
     weighted solve with residual-distance reweighting until the intercepts
-    stabilize, and re-runs once with a tenfold penalty if the fitted
-    coefficients still violate the equalities beyond the feasibility
-    tolerance.  Non-convergence is flagged on the result, not raised.
+    stabilize, and re-runs once at the exact equality-constrained limit
+    (``alpha_used`` = inf) if the fitted coefficients still violate the
+    equalities beyond the feasibility tolerance.  ``fixed`` maps child
+    index -> (A, B) pinned through every solve; a full pinning that breaks
+    the equalities raises ``DataError``.  Non-convergence is flagged on
+    the result, not raised.
     """
     config = config or FitConfig()
-    if fixed:
-        fix_coefficients(system, fixed)  # validates feasibility up front
     alpha = _resolve_alpha(config, dataset)
     result = _fit_loop(dataset, system, config, alpha, fixed)
     if config.feasibility_retry and result.arbitrage_gap_maxabs > config.feasibility_tolerance:
-        result = _fit_loop(dataset, system, config, alpha * 10.0, fixed)
+        result = _fit_loop(dataset, system, config, np.inf, fixed)
     return result
 
 
@@ -370,19 +386,18 @@ def classical_fit(
     dataset: Dataset,
     system: ConstraintSystem,
     alpha: float | str = "auto",
-    fixed: dict[int, float] | None = None,
 ) -> FitResult:
     """Single penalized solve with every case weight equal to one."""
     config = FitConfig(alpha_multiplier=alpha)
     alpha_value = _resolve_alpha(config, dataset)
     weights = np.ones(dataset.n_cases)
-    gamma = penalized_wls_solve(dataset.x, dataset.y, weights, system, alpha_value, fixed)
+    gamma = penalized_wls_solve(dataset.x, dataset.y, weights, system, alpha_value)
     slopes, intercepts = gamma[0::2], gamma[1::2]
     residuals = dataset.y - dataset.x[:, None] * slopes - intercepts
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScaleWarning)
         _, scales, degen = _residual_distances(residuals, "mad", center=True)
-    gap = float(np.max(np.abs(arbitrage_gap(system, gamma)))) if system.n_rows else 0.0
+    gap = float(np.max(np.abs(arbitrage_gap(system, gamma))))
     return FitResult(
         gamma=gamma,
         case_weights=weights,
@@ -406,8 +421,3 @@ def outlier_report(result: FitResult, threshold: float = 0.6) -> list[tuple[str,
     ]
     flagged.sort(key=lambda item: (item[1], item[0]))
     return flagged
-
-
-def with_alpha_multiplier(config: FitConfig, multiplier: float) -> FitConfig:
-    """Copy of a config with the penalty multiplier replaced."""
-    return replace(config, alpha_multiplier=multiplier)

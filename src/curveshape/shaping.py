@@ -19,10 +19,9 @@ from .constraints import (
     GranularitySplit,
     arbitrage_gap,
     constraints_for_weights,
-    fix_coefficients,
     split_from_config,
 )
-from .estimator import Dataset, FitConfig, FitResult, irls_fit, with_alpha_multiplier
+from .estimator import Dataset, FitConfig, FitResult, irls_fit
 from .exceptions import DataError
 from .periods import (
     CalendarConfig,
@@ -33,8 +32,6 @@ from .periods import (
 )
 
 DAY_TYPES = ("WD", "SAT", "SUN")
-
-_MAX_FEASIBILITY_ESCALATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -215,17 +212,15 @@ def recalibrate_with_traded(
     ``fixed`` maps child index -> (A, B).  ``market_match`` instead derives
     the pinned pair from a traded child price and the current parent quote,
     keeping the complementary coefficient from ``prior``.  The remaining
-    coefficients are re-estimated robustly; the penalty is escalated until
-    the full coefficient vector honours the original equalities.
+    coefficients are re-estimated robustly by one ``irls_fit``, which
+    returns the pinned pairs exactly and, when its penalized fit misses the
+    feasibility tolerance, falls back to the exact equality-constrained
+    limit.  A full pinning that breaks the equalities raises ``DataError``.
     """
-    config = config or FitConfig()
-    pinned: dict[int, float] = {}
-    for child, (a_k, b_k) in (fixed or {}).items():
-        pinned[2 * child] = float(a_k)
-        pinned[2 * child + 1] = float(b_k)
+    pins = {child: (float(a_k), float(b_k)) for child, (a_k, b_k) in (fixed or {}).items()}
     if market_match is not None:
         j = market_match.child_index
-        if 2 * j in pinned or 2 * j + 1 in pinned:
+        if j in pins:
             raise DataError(f"child {j} pinned twice")
         if prior is None:
             raise DataError("market matching needs the prior fit")
@@ -235,19 +230,8 @@ def recalibrate_with_traded(
         else:
             a_j = float(prior.gamma[2 * j])
             b_j = market_match.traded_price - a_j * market_match.parent_quote
-        pinned[2 * j] = a_j
-        pinned[2 * j + 1] = b_j
-    if not pinned:
-        return irls_fit(dataset, system, config)
-    fix_coefficients(system, pinned)  # infeasible fixings surface here
-    result = irls_fit(dataset, system, config, fixed=pinned)
-    multiplier = 1.0 if config.alpha_multiplier == "auto" else float(config.alpha_multiplier)
-    for _ in range(_MAX_FEASIBILITY_ESCALATIONS):
-        if result.arbitrage_gap_maxabs <= config.feasibility_tolerance:
-            break
-        multiplier *= 10.0
-        result = irls_fit(dataset, system, with_alpha_multiplier(config, multiplier), fixed=pinned)
-    return result
+        pins[j] = (a_j, b_j)
+    return irls_fit(dataset, system, config, fixed=pins)
 
 
 def build_level(split: GranularitySplit, gamma, gap_tolerance: float = 1e-6) -> ShapingLevel:

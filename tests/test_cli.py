@@ -316,6 +316,33 @@ class TestSimulate:
         np.testing.assert_allclose(gamma, [1.3, -2.0, 0.7, 1.0, 0.9, 1.5, 1.1, -0.5], atol=1e-8)
 
 
+
+class TestReadmeFlow:
+    """The README walk-through: simulate at price level 50 with 20% outliers, fit, check."""
+
+    @pytest.fixture
+    def fitted(self, tmp_path):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({k: SPLIT_CONFIG[k] for k in ("parent", "children")}))
+        quotes, fit = tmp_path / "quotes.csv", tmp_path / "fit.json"
+        assert main(
+            ["simulate", "--out", str(quotes), "--seed", "7", "--n-dates", "300", "--fraction", "0.2", "--magnitude", "10"]
+        ) == 0
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split), "--method", "mcrm", "--out", str(fit)]) == 0
+        return fit, split
+
+    def test_fit_report_is_strict_json(self, fitted):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(fitted[0].read_text(), parse_constant=reject)
+        # the penalized fit misses 1e-6 here, so the exact-limit fallback (alpha = inf) ran
+        assert report["diagnostics"]["alpha_used"] is None
+
+    def test_check_arbitrage_passes_at_tight_tolerance(self, fitted):
+        fit, split = fitted
+        assert main(["check-arbitrage", "--coeffs", str(fit), "--split", str(split), "--tol", "1e-6"]) == 0
+
 def test_exit_code_for_numerical_failures(monkeypatch, capsys):
     from curveshape import cli
     from curveshape.exceptions import NumericalError

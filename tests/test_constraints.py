@@ -10,21 +10,19 @@ from conftest import (
     MCRM_INTERCEPTS,
     MCRM_SLOPES,
     RATIO_AVERAGE_BETAS,
+    arbitrage_free_gamma,
     interleave,
+    synthetic_dataset,
 )
 from curveshape.constraints import (
     ConstraintSystem,
-    append_constraints,
     arbitrage_gap,
-    build_constraints,
     build_split,
     constraints_for_weights,
-    expand_gamma,
-    fix_coefficients,
     split_from_config,
     split_to_config,
-    zero_intercept_constraints,
 )
+from curveshape.estimator import penalized_wls_solve
 from curveshape.exceptions import DataError
 from curveshape.periods import parse_period_label, period_children, year_period
 
@@ -61,7 +59,7 @@ class TestBuildConstraints:
     def test_canonical_layout(self):
         year = year_period(2014)
         split = build_split(year, period_children(year, "quarter"))
-        system = build_constraints(split)
+        system = constraints_for_weights(split.weights)
         assert system.matrix.shape == (2, 8)
         np.testing.assert_allclose(system.matrix[0, 0::2], split.weights)
         np.testing.assert_allclose(system.matrix[0, 1::2], 0.0)
@@ -131,72 +129,53 @@ class TestArbitrageGap:
 
 
 class TestFixCoefficients:
-    def test_substitution_arithmetic(self, equal_weight_system):
-        reduced, free = fix_coefficients(equal_weight_system, {0: 1.2, 1: 0.0})
-        np.testing.assert_allclose(reduced.rhs, [1 - 0.25 * 1.2, 0.0], atol=1e-15)
-        assert free == [2, 3, 4, 5, 6, 7]
-        assert reduced.matrix.shape == (2, 6)
+    """Pinning children in the solve: child -> (A, B), written back as given."""
+
+    @staticmethod
+    def pinned_solve(rng, system, fixed, alpha=np.inf):
+        k = system.n_children
+        data = synthetic_dataset(rng, arbitrage_free_gamma(rng, k), n=60, noise=0.5)
+        return penalized_wls_solve(data.x, data.y, np.ones(60), system, alpha, fixed)
+
+    def test_substitution_arithmetic(self, rng, equal_weight_system):
+        gamma = self.pinned_solve(rng, equal_weight_system, {0: (1.2, 0.0)})
+        assert gamma[0] == 1.2 and gamma[1] == 0.0
+        # the pinned child shifts the rhs by h_0 * (A_0, B_0)
+        assert float(EQUAL_WEIGHTS[1:] @ gamma[2::2]) == pytest.approx(1 - 0.25 * 1.2, abs=1e-12)
+        assert float(EQUAL_WEIGHTS[1:] @ gamma[3::2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_fix_nothing(self, equal_weight_system):
-        reduced, free = fix_coefficients(equal_weight_system, {})
-        assert reduced is equal_weight_system
-        assert free == list(range(8))
+        solves = [
+            self.pinned_solve(np.random.default_rng(5), equal_weight_system, fixed, alpha=3.0)
+            for fixed in (None, {})
+        ]
+        np.testing.assert_array_equal(solves[0], solves[1])
 
-    def test_infeasible_full_fix(self, equal_weight_system):
-        fixed = {i: 1.5 for i in range(8)}  # slope row gives 1.5 != 1
+    def test_infeasible_full_fix(self, rng, equal_weight_system):
+        fixed = {j: (1.5, 1.5) for j in range(4)}  # slope row gives 1.5 != 1
         with pytest.raises(DataError, match="infeasible fixing"):
-            fix_coefficients(equal_weight_system, fixed)
+            self.pinned_solve(rng, equal_weight_system, fixed)
 
-    def test_consistent_full_fix(self, equal_weight_system):
-        gamma = interleave(np.ones(4), np.zeros(4))
-        reduced, free = fix_coefficients(equal_weight_system, dict(enumerate(gamma)))
-        assert free == []
-        assert reduced.n_rows == 0
+    def test_consistent_full_fix(self, rng, equal_weight_system):
+        fixed = {j: (1.0, 0.0) for j in range(4)}
+        gamma = self.pinned_solve(rng, equal_weight_system, fixed, alpha=1.0)
+        np.testing.assert_array_equal(gamma, interleave(np.ones(4), np.zeros(4)))
 
     def test_reinsert_solves_original(self, rng):
-        # solving the reduced system and expanding matches a brute-force
-        # minimum-norm solution restricted to the affine subspace
+        # the exact limit with one child pinned satisfies the full system
         for trial in range(10):
             k = int(rng.integers(2, 5))
             w = rng.uniform(0.3, 1.0, k)
             system = constraints_for_weights(w / w.sum())
-            fixed = {0: float(rng.uniform(0.8, 1.2)), 1: float(rng.uniform(-1, 1))}
-            reduced, free = fix_coefficients(system, fixed)
-            solution = np.linalg.lstsq(reduced.matrix, reduced.rhs, rcond=None)[0]
-            full = expand_gamma(solution, free, fixed, 2 * k)
-            np.testing.assert_allclose(system.matrix @ full, system.rhs, atol=1e-10)
+            pair = (float(rng.uniform(0.8, 1.2)), float(rng.uniform(-1, 1)))
+            gamma = self.pinned_solve(rng, system, {0: pair})
+            assert (gamma[0], gamma[1]) == pair
+            np.testing.assert_allclose(system.matrix @ gamma, system.rhs, atol=1e-10)
 
-    def test_bad_index(self, equal_weight_system):
-        with pytest.raises(DataError):
-            fix_coefficients(equal_weight_system, {11: 1.0})
-
-
-class TestZeroIntercepts:
-    def test_k2_selectors(self):
-        system = zero_intercept_constraints(2)
-        np.testing.assert_allclose(system.matrix, [[0, 1, 0, 0], [0, 0, 0, 1]])
-        np.testing.assert_allclose(system.rhs, [0, 0])
-
-    def test_k4_ordering(self):
-        system = zero_intercept_constraints(4)
-        assert system.matrix.shape == (4, 8)
-        for j in range(4):
-            row = np.zeros(8)
-            row[2 * j + 1] = 1.0
-            np.testing.assert_allclose(system.matrix[j], row)
-
-    def test_appended_forces_pure_scaling(self, equal_weight_system, rng):
-        # data from a model with genuinely nonzero intercepts; a huge penalty
-        # with the selector rows appended must still push all B_k to zero
-        from conftest import synthetic_dataset
-        from curveshape import FitConfig, irls_fit
-
-        gamma = interleave(np.array([1.1, 0.9, 0.95, 1.05]), np.array([-1.0, 0.6, 0.7, -0.3]))
-        dataset = synthetic_dataset(rng, gamma, n=150, noise=0.3)
-        system = append_constraints(equal_weight_system, zero_intercept_constraints(4))
-        result = irls_fit(dataset, system, FitConfig(alpha_multiplier=1e6))
-        assert np.max(np.abs(result.gamma[1::2])) <= 1e-6
-        assert float(EQUAL_WEIGHTS @ result.gamma[0::2]) == pytest.approx(1.0, abs=1e-6)
+    def test_bad_index(self, rng, equal_weight_system):
+        for child in (4, -1):
+            with pytest.raises(DataError, match="out of range"):
+                self.pinned_solve(rng, equal_weight_system, {child: (1.0, 0.0)})
 
 
 class TestSplitConfig:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import arbitrage_free_gamma, synthetic_dataset
 from curveshape import (
+    ConstraintSystem,
     Dataset,
     FitConfig,
     WeightFunctionSpec,
@@ -178,6 +180,55 @@ class TestPenalizedSolve:
         with pytest.raises(DataError):
             penalized_wls_solve(np.arange(4.0), np.ones((4, 4)), np.ones(4), equal_weight_system, -1.0)
 
+    def test_non_canonical_system(self, equal_weight_system):
+        x, y, w = np.arange(6.0), np.ones((6, 4)), np.ones(6)
+        swapped = ConstraintSystem(equal_weight_system.matrix[::-1], np.array([0.0, 1.0]))
+        extra_row = ConstraintSystem(
+            np.vstack([equal_weight_system.matrix, np.eye(8)[1]]), np.array([1.0, 0.0, 0.0])
+        )
+        for system in (swapped, extra_row, constraints_for_weights(np.full(3, 1 / 3))):
+            with pytest.raises(DataError, match="canonical"):
+                penalized_wls_solve(x, y, w, system, 1.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        n=st.integers(4, 40),
+        level=st.sampled_from([0.0, 50.0]),
+        pin_bits=st.integers(0, 2**6 - 1),
+    )
+    def test_exact_limit_matches_kkt_oracle(self, seed, k, n, level, pin_bits):
+        # alpha = inf is the equality-constrained weighted LS problem; pins are
+        # extra equalities.  Solve its KKT system densely and compare.
+        rng = np.random.default_rng(seed)
+        x = level + rng.uniform(1.0, 5.0) * rng.standard_normal(n)
+        y = x[:, None] * rng.uniform(0.5, 1.5, k) + rng.standard_normal((n, k))
+        w = rng.uniform(0.2, 1.0, n)
+        hw = rng.uniform(0.5, 1.5, k)
+        system = constraints_for_weights(hw / hw.sum())
+        pinned = [j for j in range(k) if pin_bits >> j & 1]
+        values = arbitrage_free_gamma(rng, k, system.matrix[0, 0::2])
+        if len(pinned) < k:
+            values += 0.1 * rng.standard_normal(2 * k)
+        fixed = {j: (float(values[2 * j]), float(values[2 * j + 1])) for j in pinned}
+        gamma = penalized_wls_solve(x, y, w, system, np.inf, fixed)
+
+        design = np.kron(np.eye(k), np.column_stack([w * x, w]))
+        target = (w[:, None] * y).T.ravel()
+        pin_idx = [i for j in pinned for i in (2 * j, 2 * j + 1)]
+        selectors = np.eye(2 * k)[pin_idx]
+        eq = np.vstack([system.matrix, selectors])
+        eq_rhs = np.concatenate([system.rhs, values[pin_idx]])
+        if len(pinned) == k:
+            eq, eq_rhs = selectors, values[pin_idx]  # the pins already imply the equalities
+        m = eq.shape[0]
+        kkt = np.block([[design.T @ design, eq.T], [eq, np.zeros((m, m))]])
+        oracle = np.linalg.solve(kkt, np.concatenate([design.T @ target, eq_rhs]))[: 2 * k]
+        np.testing.assert_allclose(gamma, oracle, rtol=1e-7, atol=1e-7)
+        for j in pinned:
+            assert (gamma[2 * j], gamma[2 * j + 1]) == fixed[j]
+
 
 class TestIrlsFit:
     def test_exact_recovery(self, rng, equal_weight_system):
@@ -244,15 +295,17 @@ class TestIrlsFit:
         scaled = irls_fit(ds, equal_weight_system, FitConfig(alpha_multiplier=2.5))
         assert scaled.alpha_used == pytest.approx(2.5 * 120 * qn_scale(ds.y.ravel()), rel=1e-12)
 
-    def test_feasibility_retry_multiplies_alpha(self, rng, equal_weight_system):
-        # generic noise leaves a gap above 1e-6, so the one-shot retry runs
+    def test_feasibility_fallback_is_exact_limit(self, rng, equal_weight_system):
+        # generic noise at price level 50 leaves the penalized gap above 1e-6,
+        # so the one fallback re-runs at alpha = inf
         gamma = arbitrage_free_gamma(rng, 4)
         ds = synthetic_dataset(rng, gamma, n=200, noise=1.0)
         base = irls_fit(ds, equal_weight_system, FitConfig(feasibility_retry=False))
+        assert base.arbitrage_gap_maxabs > 1e-6
         retried = irls_fit(ds, equal_weight_system)
-        if base.arbitrage_gap_maxabs > 1e-6:
-            assert retried.alpha_used == pytest.approx(10 * base.alpha_used, rel=1e-12)
-            assert retried.arbitrage_gap_maxabs < base.arbitrage_gap_maxabs
+        assert retried.alpha_used == np.inf
+        assert retried.arbitrage_gap_maxabs <= FitConfig().feasibility_tolerance
+        assert retried.to_report()["diagnostics"]["alpha_used"] is None
 
     def test_non_convergence_flag(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
