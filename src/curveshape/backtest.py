@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -239,23 +239,6 @@ class ComparisonTable:
         Path(path).write_text(self.to_csv())
 
 
-def read_comparison_csv(source: str | Path) -> dict[tuple[str, str], MetricsReport]:
-    """Parse a comparison CSV back into {(method, sample): report}."""
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
-    lines = io.StringIO(text).read().splitlines()
-    out: dict[tuple[str, str], MetricsReport] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        method, sample, *vals = line.split(",")
-        mean_ae, med_ae, mean_se, med_se = (float(v) for v in vals)
-        out[(method, sample)] = MetricsReport(mean_ae, med_ae, mean_se, med_se)
-    return out
-
-
 def fit_method(
     method: str,
     dataset: Dataset,
@@ -287,26 +270,30 @@ def backtest(
     """Fit each method on the train range and score both ranges.
 
     By default the train coefficients are frozen and applied to the parent
-    quotes of the test range.  With ``refit_out_of_sample`` each test date
-    is predicted from a fresh fit on everything quoted strictly before it
-    (an expanding window), which is slower but tracks regime changes.
+    quotes of the test range.  With ``refit_out_of_sample`` each test case
+    is predicted from a fresh fit on the rows dated from the train start to
+    the day before it (an expanding window), which is slower but tracks
+    regime changes.  Train set, test set and windows are row slices of one
+    dataset built over both ranges.
     """
-    config = config or FitConfig()
-    train_table = table.filter_dates(*train_range)
-    test_table = table.filter_dates(*test_range)
-    if not len(train_table):
-        raise DataError("empty train range")
-    if not len(test_table):
-        raise DataError("empty test range")
-    train, _ = build_regression_dataset(train_table, parent_kind, child_kind)
-    test, _ = build_regression_dataset(test_table, parent_kind, child_kind)
+    first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
+    dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
+    # Case ids lead with the ISO quote date, and the rows are sorted by it.
+    days = [case_id.split("|")[0] for case_id in dataset.case_ids]
+    train = _dated_rows(dataset, days, *train_range, "train range")
+    test = _dated_rows(dataset, days, *test_range, "test range")
     evaluations = []
     for method in methods:
         fit = fit_method(method, train, system, config)
         if refit_out_of_sample:
-            predictions = _expanding_window_predictions(
-                table, train_range, test, method, system, config, parent_kind, child_kind
-            )
+            predictions = np.empty_like(test.y)
+            for i, case_id in enumerate(test.case_ids):
+                day = date.fromisoformat(case_id.split("|")[0])
+                window = _dated_rows(
+                    dataset, days, train_range[0], day - timedelta(days=1), f"window before {day}"
+                )
+                refit = fit_method(method, window, system, config)
+                predictions[i] = refit.predict(test.x[i : i + 1])[0]
         else:
             predictions = fit.predict(test.x)
         evaluations.append(
@@ -322,14 +309,9 @@ def backtest(
     )
 
 
-def _expanding_window_predictions(
-    table, train_range, test, method, system, config, parent_kind, child_kind
-):
-    predictions = np.empty_like(test.y)
-    for i, case_id in enumerate(test.case_ids):
-        quote_date = date.fromisoformat(case_id.split("|")[0])
-        window = table.filter_dates(train_range[0], quote_date - timedelta(days=1))
-        dataset, _ = build_regression_dataset(window, parent_kind, child_kind)
-        fit = fit_method(method, dataset, system, config)
-        predictions[i] = fit.predict(np.array([test.x[i]]))[0]
-    return predictions
+def _dated_rows(dataset: Dataset, days: list[str], start: date, end: date, what: str) -> Dataset:
+    """The rows quoted from ``start`` to ``end``; ``days`` holds each row's sorted ISO date."""
+    rows = slice(bisect_left(days, start.isoformat()), bisect_right(days, end.isoformat()))
+    if rows.start == rows.stop:
+        raise DataError(f"empty {what}")
+    return Dataset(x=dataset.x[rows], y=dataset.y[rows], case_ids=dataset.case_ids[rows])

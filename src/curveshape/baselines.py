@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import ConstraintSystem, arbitrage_gap
-from .estimator import Dataset, FitResult
+from .constraints import ConstraintSystem
+from .estimator import Dataset, FitResult, _fit_result, _residuals
 from .exceptions import DataError
-from .robust import MAD_CONSISTENCY
+from .robust import mad_scale
 
 
 def ratio_average_fit(dataset: Dataset) -> np.ndarray:
@@ -27,24 +27,10 @@ def rescale_to_no_arbitrage(betas, weights) -> np.ndarray:
     return b / total
 
 
-def ratio_average_result(dataset: Dataset, system: ConstraintSystem | None = None) -> FitResult:
+def ratio_average_result(dataset: Dataset, system: ConstraintSystem) -> FitResult:
     """Package the ratio-average slopes as a regular fit result."""
-    betas = ratio_average_fit(dataset)
     gamma = np.zeros(2 * dataset.n_children)
-    gamma[0::2] = betas
-    gap = float("nan")
-    if system is not None:
-        gap = float(np.max(np.abs(arbitrage_gap(system, gamma))))
-    residuals = dataset.y - dataset.x[:, None] * betas
-    scales = MAD_CONSISTENCY * np.median(np.abs(residuals - np.median(residuals, axis=0)), axis=0)
-    return FitResult(
-        gamma=gamma,
-        case_weights=np.ones(dataset.n_cases),
-        iterations=1,
-        arbitrage_gap_maxabs=gap,
-        residual_scales=scales,
-        alpha_used=0.0,
-        case_ids=list(dataset.case_ids),
-        converged=True,
-        method="ratio-average",
-    )
+    gamma[0::2] = ratio_average_fit(dataset)
+    scales = mad_scale(_residuals(dataset, gamma), axis=0)
+    weights = np.ones(dataset.n_cases)
+    return _fit_result(dataset, system, gamma, weights, scales, 0.0, method="ratio-average")

@@ -9,6 +9,7 @@ residual distances until the intercepts stop moving.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,10 +17,11 @@ import numpy as np
 
 from .constraints import ConstraintSystem, arbitrage_gap, constraints_for_weights
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
-from .robust import MAD_CONSISTENCY, WeightFunctionSpec, qn_scale
+from .robust import WeightFunctionSpec, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap before the exact-limit re-run
 
 
 @dataclass
@@ -62,11 +64,11 @@ class FitConfig:
     """Estimator knobs.
 
     ``alpha_multiplier`` scales the constraint penalty alpha = c * N * s(Y)
-    with s the pooled response scale; the string ``"auto"`` means c = 1.
-    ``scale_estimator`` picks the column-residual standardization scale.
-    With ``feasibility_retry`` a fit whose arbitrage gap exceeds
-    ``feasibility_tolerance`` is re-run once at the exact
-    equality-constrained limit (alpha = inf).
+    with s the pooled response scale; it is a real c >= 0 (``inf`` allowed)
+    or the string ``"auto"``, which means c = 1.  ``scale_estimator`` picks
+    the column-residual standardization scale.  With ``feasibility_retry``
+    a fit whose arbitrage gap exceeds ``FEASIBILITY_TOLERANCE`` is re-run
+    once at the exact equality-constrained limit (alpha = inf).
     """
 
     weight_spec: WeightFunctionSpec = field(default_factory=WeightFunctionSpec)
@@ -74,8 +76,6 @@ class FitConfig:
     scale_estimator: str = "mad"
     tolerance: float = 1e-8
     max_iterations: int = 100
-    center_for_distances: bool = True
-    feasibility_tolerance: float = 1e-6
     feasibility_retry: bool = True
 
     def __post_init__(self) -> None:
@@ -85,8 +85,10 @@ class FitConfig:
             raise DataError("max_iterations must be >= 1")
         if self.scale_estimator not in ("mad", "qn"):
             raise DataError(f"unknown scale estimator: {self.scale_estimator!r}")
-        if not (self.alpha_multiplier == "auto" or np.isreal(self.alpha_multiplier)):
-            raise DataError("alpha_multiplier must be a real number or 'auto'")
+        c = self.alpha_multiplier
+        real = isinstance(c, numbers.Real) and not isinstance(c, bool)
+        if not (c == "auto" or (real and c >= 0)):
+            raise DataError(f"alpha_multiplier must be 'auto' or a real number >= 0, not {c!r}")
 
 
 @dataclass
@@ -151,18 +153,11 @@ def gamma_from_report(report: dict) -> np.ndarray:
     return gamma
 
 
-def _initial_distances(
-    dataset: Dataset, center: bool
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _initial_distances(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, bool]:
     x, y = dataset.x, dataset.y
-    if center:
-        yc = y - np.median(y, axis=0)
-        xc = x - np.median(x)
-    else:
-        yc, xc = y, x
-    row_norms = np.linalg.norm(yc, axis=1)
+    row_norms = np.linalg.norm(y - np.median(y, axis=0), axis=1)
     den_y = float(np.median(row_norms))
-    den_x = MAD_CONSISTENCY * float(np.median(np.abs(xc)))
+    den_x = mad_scale(x)
     degenerate = False
     if den_y <= 0.0:
         den_y = _SCALE_FLOOR
@@ -176,13 +171,11 @@ def _initial_distances(
             DegenerateScaleWarning,
             stacklevel=3,
         )
-    return np.abs(xc) / den_x, row_norms / den_y, degenerate
+    return np.abs(x - np.median(x)) / den_x, row_norms / den_y, degenerate
 
 
 def initial_weights(
-    dataset: Dataset,
-    weight_spec: WeightFunctionSpec | None = None,
-    center_for_distances: bool = True,
+    dataset: Dataset, weight_spec: WeightFunctionSpec | None = None
 ) -> np.ndarray:
     """Starting case weights from coarse x- and y-outlyingness.
 
@@ -192,21 +185,21 @@ def initial_weights(
     combine as a geometric mean.
     """
     spec = weight_spec or WeightFunctionSpec()
-    d_x, d_y, _ = _initial_distances(dataset, center_for_distances)
+    d_x, d_y, _ = _initial_distances(dataset)
     return np.sqrt(spec.weight(d_x) * spec.weight(d_y))
 
 
 def _residual_distances(
-    residuals: np.ndarray, scale_estimator: str, center: bool
+    residuals: np.ndarray, scale_estimator: str
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 2:
         raise DataError("residuals must be (N, K)")
-    centered = r - np.median(r, axis=0) if center else r.copy()
+    centered = r - np.median(r, axis=0)
     if scale_estimator == "qn":
         scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
     else:
-        scales = MAD_CONSISTENCY * np.median(np.abs(centered), axis=0)
+        scales = mad_scale(r, axis=0)
     degenerate = bool(np.any(scales <= 0.0))
     if degenerate:
         warnings.warn(
@@ -228,7 +221,7 @@ def residual_distances(residuals, scale_estimator: str = "mad") -> np.ndarray:
     MAD (or Qn); the K standardized entries combine as the Euclidean norm
     over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.
     """
-    d, _, _ = _residual_distances(residuals, scale_estimator, center=True)
+    d, _, _ = _residual_distances(residuals, scale_estimator)
     return d
 
 
@@ -314,6 +307,33 @@ def _resolve_alpha(config: FitConfig, dataset: Dataset) -> float:
     return multiplier * dataset.n_cases * pooled
 
 
+def _residuals(dataset: Dataset, gamma: np.ndarray) -> np.ndarray:
+    return dataset.y - dataset.x[:, None] * gamma[0::2] - gamma[1::2]
+
+
+def _fit_result(
+    dataset: Dataset,
+    system: ConstraintSystem,
+    gamma: np.ndarray,
+    weights: np.ndarray,
+    scales: np.ndarray,
+    alpha: float,
+    iterations: int = 1,
+    **flags,
+) -> FitResult:
+    """Every fit's result; ``flags`` are FitResult's converged / degenerate_scale / method."""
+    return FitResult(
+        gamma=gamma,
+        case_weights=weights,
+        iterations=iterations,
+        arbitrage_gap_maxabs=float(np.max(np.abs(arbitrage_gap(system, gamma)))),
+        residual_scales=scales,
+        alpha_used=alpha,
+        case_ids=list(dataset.case_ids),
+        **flags,
+    )
+
+
 def _fit_loop(
     dataset: Dataset,
     system: ConstraintSystem,
@@ -322,19 +342,15 @@ def _fit_loop(
     fixed: dict[int, tuple[float, float]] | None,
 ) -> FitResult:
     spec = config.weight_spec
-    d_x, d_y, degen = _initial_distances(dataset, config.center_for_distances)
+    d_x, d_y, degen = _initial_distances(dataset)
     weights = np.sqrt(spec.weight(d_x) * spec.weight(d_y))
-    scales = np.zeros(dataset.n_children)
-    gamma = None
     intercepts_prev = None
     converged = False
-    iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         gamma = penalized_wls_solve(dataset.x, dataset.y, weights, system, alpha, fixed)
-        slopes, intercepts = gamma[0::2], gamma[1::2]
-        residuals = dataset.y - dataset.x[:, None] * slopes - intercepts
+        intercepts = gamma[1::2]
         d_r, scales, degen_r = _residual_distances(
-            residuals, config.scale_estimator, config.center_for_distances
+            _residuals(dataset, gamma), config.scale_estimator
         )
         degen = degen or degen_r
         weights = np.sqrt(spec.weight(d_x) * spec.weight(d_r))
@@ -343,17 +359,9 @@ def _fit_loop(
                 converged = True
                 break
         intercepts_prev = intercepts
-    gap = float(np.max(np.abs(arbitrage_gap(system, gamma))))
-    return FitResult(
-        gamma=gamma,
-        case_weights=weights,
-        iterations=iterations,
-        arbitrage_gap_maxabs=gap,
-        residual_scales=scales,
-        alpha_used=alpha,
-        case_ids=list(dataset.case_ids),
-        converged=converged,
-        degenerate_scale=degen,
+    return _fit_result(
+        dataset, system, gamma, weights, scales, alpha,
+        iterations, converged=converged, degenerate_scale=degen,
     )
 
 
@@ -377,7 +385,7 @@ def irls_fit(
     config = config or FitConfig()
     alpha = _resolve_alpha(config, dataset)
     result = _fit_loop(dataset, system, config, alpha, fixed)
-    if config.feasibility_retry and result.arbitrage_gap_maxabs > config.feasibility_tolerance:
+    if config.feasibility_retry and result.arbitrage_gap_maxabs > FEASIBILITY_TOLERANCE:
         result = _fit_loop(dataset, system, config, np.inf, fixed)
     return result
 
@@ -388,27 +396,13 @@ def classical_fit(
     alpha: float | str = "auto",
 ) -> FitResult:
     """Single penalized solve with every case weight equal to one."""
-    config = FitConfig(alpha_multiplier=alpha)
-    alpha_value = _resolve_alpha(config, dataset)
+    alpha_value = _resolve_alpha(FitConfig(alpha_multiplier=alpha), dataset)
     weights = np.ones(dataset.n_cases)
     gamma = penalized_wls_solve(dataset.x, dataset.y, weights, system, alpha_value)
-    slopes, intercepts = gamma[0::2], gamma[1::2]
-    residuals = dataset.y - dataset.x[:, None] * slopes - intercepts
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateScaleWarning)
-        _, scales, degen = _residual_distances(residuals, "mad", center=True)
-    gap = float(np.max(np.abs(arbitrage_gap(system, gamma))))
-    return FitResult(
-        gamma=gamma,
-        case_weights=weights,
-        iterations=1,
-        arbitrage_gap_maxabs=gap,
-        residual_scales=scales,
-        alpha_used=alpha_value,
-        case_ids=list(dataset.case_ids),
-        converged=True,
-        degenerate_scale=degen,
-        method="classical",
+    scales = mad_scale(_residuals(dataset, gamma), axis=0)
+    return _fit_result(
+        dataset, system, gamma, weights, scales, alpha_value,
+        degenerate_scale=bool(np.any(scales <= 0.0)), method="classical",
     )
 
 

@@ -9,7 +9,6 @@ row's quote date and stored absolutely.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -86,7 +85,7 @@ def load_quotes(source) -> QuoteTable:
         text = source
     else:
         text = source.read()
-    lines = io.StringIO(text).read().splitlines()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
     quotes: list[Quote] = []
@@ -117,10 +116,7 @@ def load_quotes(source) -> QuoteTable:
                 f"line {lineno}: delivery window of {period.label} starts before quote date"
             )
         quotes.append(Quote(quote_date, raw_contract, period, price))
-    try:
-        return QuoteTable(quotes)
-    except DataError as exc:
-        raise DataError(str(exc)) from exc
+    return QuoteTable(quotes)
 
 
 @dataclass

@@ -234,12 +234,6 @@ def recalibrate_with_traded(
     return irls_fit(dataset, system, config, fixed=pins)
 
 
-def build_level(split: GranularitySplit, gamma, gap_tolerance: float = 1e-6) -> ShapingLevel:
-    """Level from an interleaved coefficient vector (A_1, B_1, ...)."""
-    g = np.asarray(gamma, dtype=float)
-    return ShapingLevel(split=split, coefficients=g.reshape(-1, 2), gap_tolerance=gap_tolerance)
-
-
 def daytype_split(month: Period, calendar: CalendarConfig = DEFAULT_CALENDAR) -> GranularitySplit:
     """Split a month into weekday / Saturday / Sunday blocks by hour share."""
     if month.kind != "month":

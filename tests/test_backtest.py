@@ -1,23 +1,27 @@
 """Tests for metrics, the synthetic generator, and the backtest harness."""
 
-from datetime import date
+import csv
+import importlib
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from conftest import arbitrage_free_gamma, synthetic_dataset
 from curveshape import (
+    MetricsReport,
     SyntheticMarketConfig,
     XPathParams,
     backtest,
     build_regression_dataset,
     compute_metrics,
     constraints_for_weights,
+    fit_method,
     irls_fit,
     synthesize_market,
 )
-from curveshape.backtest import read_comparison_csv
 from curveshape.exceptions import DataError
+from curveshape.market import QuoteTable
 
 GAMMA4 = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
 W4 = np.full(4, 0.25)
@@ -212,10 +216,18 @@ class TestBacktest:
         )
         out = tmp_path / "comparison.csv"
         comp.write_csv(out)
-        parsed = read_comparison_csv(out)
-        for ev in comp.evaluations:
-            assert parsed[(ev.method, "in")] == ev.in_sample
-            assert parsed[(ev.method, "out")] == ev.out_sample
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [
+            (ev.method, sample, report)
+            for ev in comp.evaluations
+            for sample, report in (("in", ev.in_sample), ("out", ev.out_sample))
+        ]
+        assert len(rows) == len(expected)
+        for row, (method, sample, report) in zip(rows, expected):
+            assert (row["method"], row["sample"]) == (method, sample)
+            fields = ("mean_ae", "med_ae", "mean_se", "med_se")
+            assert MetricsReport(*(float(row[f]) for f in fields)) == report
 
     def test_reproducible(self):
         merged, _, _, tr, te = _merged_train_test(seed=55, n_train=90, n_test=30)
@@ -238,6 +250,78 @@ class TestBacktest:
         refit = backtest(market.table, tr, te, ["classical"], system, refit_out_of_sample=True)
         assert frozen.by_method("classical").out_sample.mean_se < 1e-16
         assert refit.by_method("classical").out_sample.mean_se < 1e-16
+
+
+def _two_parent_table():
+    """CAL-2014 and CAL-2015 quoted on the same 50 days, so each date has two rows.
+
+    Days 30-32 have no quotes at all, and day 42 loses its CAL-2015 quote.
+    """
+    base = dict(
+        weights=W4, n_dates=50, noise_scale=0.5,
+        contamination_fraction=0.1, outlier_magnitude=8.0,
+    )
+    cal14 = synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, delivery_year=2014, seed=3, **base))
+    cal15 = synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, delivery_year=2015, seed=4, **base))
+    days = cal14.table.dates()
+    quotes = [
+        q for q in cal14.table.merged_with(cal15.table).quotes
+        if q.quote_date not in days[30:33]
+        and not (q.quote_date == days[42] and q.contract == "CAL-2015")
+    ]
+    return QuoteTable(quotes), days
+
+
+def test_expanding_window_matches_reference_loop(monkeypatch):
+    # train ends on day 29; days 33-37 are quoted but lie in neither range,
+    # so only the expanding windows see them
+    table, days = _two_parent_table()
+    train_range, test_range = (days[0], days[29]), (days[38], days[-1])
+    system = constraints_for_weights(W4)
+    bt = importlib.import_module("curveshape.backtest")
+    seen = []
+
+    def recording_fit_method(method, dataset, system, config=None):
+        result = fit_method(method, dataset, system, config)
+        seen.append((method, list(dataset.case_ids), result.gamma))
+        return result
+
+    monkeypatch.setattr(bt, "fit_method", recording_fit_method)
+    methods = ["mcrm", "classical", "ratio-average"]
+    comp = backtest(table, train_range, test_range, methods, system, refit_out_of_sample=True)
+    monkeypatch.undo()
+
+    test, _ = build_regression_dataset(table.filter_dates(*test_range))
+    assert test.n_cases == 23  # 12 dates of two parents, less the dropped CAL-2015 quote
+    expected = []
+    for method in methods:
+        train, _ = build_regression_dataset(table.filter_dates(*train_range))
+        expected.append((method, list(train.case_ids), fit_method(method, train, system).gamma))
+        predictions = np.empty_like(test.y)
+        for i, case_id in enumerate(test.case_ids):
+            day = date.fromisoformat(case_id.split("|")[0])
+            window, _ = build_regression_dataset(
+                table.filter_dates(train_range[0], day - timedelta(days=1))
+            )
+            fit = fit_method(method, window, system)
+            expected.append((method, list(window.case_ids), fit.gamma))
+            predictions[i] = fit.predict(np.array([test.x[i]]))[0]
+        assert comp.by_method(method).out_sample == compute_metrics(test.y, predictions)
+    assert len(seen) == len(expected) == 3 * (1 + 23)
+    for (method, ids, gamma), (ref_method, ref_ids, ref_gamma) in zip(seen, expected):
+        assert (method, ids) == (ref_method, ref_ids)
+        np.testing.assert_array_equal(gamma, ref_gamma)
+
+
+def test_expanding_window_needs_history_before_each_test_date():
+    table, days = _two_parent_table()
+    system = constraints_for_weights(W4)
+    for test_start in (days[0], days[5]):
+        with pytest.raises(DataError):
+            backtest(
+                table, (days[5], days[29]), (test_start, days[40]), ["classical"], system,
+                refit_out_of_sample=True,
+            )
 
 
 def test_hourly_shaped_fit(rng):

@@ -18,8 +18,10 @@ from curveshape import (
     penalized_wls_solve,
     residual_distances,
 )
-from curveshape.estimator import gamma_from_report
+from curveshape.baselines import ratio_average_result
+from curveshape.estimator import FEASIBILITY_TOLERANCE, gamma_from_report
 from curveshape.exceptions import DataError, DegenerateScaleWarning, NumericalError
+from curveshape.robust import mad_scale
 
 
 def ols_slope_intercept(x, y):
@@ -57,20 +59,6 @@ class TestInitialWeights:
         y = np.tile(x[:, None], (1, 3)) + rng.normal(0, 0.5, (41, 3))
         w = initial_weights(Dataset(x=x, y=y))
         assert w[-1] == 0.0
-
-    def test_centering_flag(self, rng):
-        # without centering the distances use raw norms, so data that is
-        # already median-centered gives the same weights either way
-        gamma = arbitrage_free_gamma(rng, 4)
-        ds = synthetic_dataset(rng, gamma, n=101, x_level=0.0)
-        centered = Dataset(
-            x=ds.x - np.median(ds.x), y=ds.y - np.median(ds.y, axis=0)
-        )
-        np.testing.assert_allclose(
-            initial_weights(centered, center_for_distances=False),
-            initial_weights(centered, center_for_distances=True),
-            atol=1e-12,
-        )
 
     def test_scale_invariance(self, rng):
         gamma = arbitrage_free_gamma(rng, 4)
@@ -304,7 +292,7 @@ class TestIrlsFit:
         assert base.arbitrage_gap_maxabs > 1e-6
         retried = irls_fit(ds, equal_weight_system)
         assert retried.alpha_used == np.inf
-        assert retried.arbitrage_gap_maxabs <= FitConfig().feasibility_tolerance
+        assert retried.arbitrage_gap_maxabs <= FEASIBILITY_TOLERANCE
         assert retried.to_report()["diagnostics"]["alpha_used"] is None
 
     def test_non_convergence_flag(self, rng, equal_weight_system):
@@ -432,8 +420,21 @@ def test_fit_config_validation():
         FitConfig(max_iterations=0)
     with pytest.raises(DataError):
         FitConfig(scale_estimator="iqr")
-    with pytest.raises(DataError):
-        FitConfig(alpha_multiplier="sometimes")
+    for bad in ("sometimes", None, True, -1.0, float("nan")):
+        with pytest.raises(DataError, match="alpha_multiplier"):
+            FitConfig(alpha_multiplier=bad)
+    for good in ("auto", 0, 2.5, np.float64(1.0), float("inf")):
+        FitConfig(alpha_multiplier=good)
+
+
+def test_baseline_residual_scales_are_column_mad(rng, equal_weight_system):
+    gamma = arbitrage_free_gamma(rng, 4)
+    ds = synthetic_dataset(rng, gamma, n=75, noise=0.6)
+    for result in (classical_fit(ds, equal_weight_system), ratio_average_result(ds, equal_weight_system)):
+        residuals = ds.y - ds.x[:, None] * result.slopes - result.intercepts
+        expected = [mad_scale(residuals[:, k]) for k in range(4)]
+        np.testing.assert_array_equal(result.residual_scales, expected)
+        assert not result.degenerate_scale
 
 
 def test_qn_scale_estimator_option(rng, equal_weight_system):

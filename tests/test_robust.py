@@ -68,6 +68,17 @@ class TestMadScale:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate sample"):
             mad_scale([1.0])
+        with pytest.raises(ValueError, match="degenerate sample"):
+            mad_scale(np.ones((1, 3)), axis=0)
+
+    def test_axis_matches_per_column(self, rng):
+        for n in (2, 3, 10, 11, 250):
+            m = 50.0 + rng.standard_normal((n, 5)) * rng.uniform(0.1, 10.0, 5)
+            m[:, 0] = 7.5  # a constant column scales to exactly zero
+            columns = mad_scale(m, axis=0)
+            assert columns.shape == (5,)
+            np.testing.assert_array_equal(columns, [mad_scale(m[:, k]) for k in range(5)])
+            np.testing.assert_array_equal(mad_scale(m.T, axis=1), columns)
 
 
 class TestQnScale:

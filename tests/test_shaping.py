@@ -8,7 +8,6 @@ from conftest import (
     MCRM_INTERCEPTS,
     MCRM_SLOPES,
     arbitrage_free_gamma,
-    interleave,
     synthetic_dataset,
 )
 from curveshape import (
@@ -27,7 +26,7 @@ from curveshape import (
 )
 from curveshape.constraints import GranularitySplit
 from curveshape.exceptions import DataError
-from curveshape.shaping import build_level, daytype_split, hour_split
+from curveshape.shaping import daytype_split, hour_split
 from curveshape.periods import month_period
 
 
@@ -279,11 +278,3 @@ class TestCascadeConfig:
         lv = random_level(rng, "SOMEWHERE", ["a", "b"])
         with pytest.raises(DataError, match="chained"):
             ShapingCascade(root="ROOT", level_names=["L"], levels=[{"SOMEWHERE": lv}])
-
-
-def test_build_level_from_gamma(rng):
-    split = GranularitySplit("P", ("a", "b"), np.array([0.5, 0.5]))
-    gamma = interleave(np.array([1.1, 0.9]), np.array([0.4, -0.4]))
-    level = build_level(split, gamma)
-    np.testing.assert_allclose(level.coefficients, [[1.1, 0.4], [0.9, -0.4]])
-    assert level.is_arbitrage_free
