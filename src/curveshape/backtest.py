@@ -271,10 +271,10 @@ def backtest(
 
     By default the train coefficients are frozen and applied to the parent
     quotes of the test range.  With ``refit_out_of_sample`` each test case
-    is predicted from a fresh fit on the rows dated from the train start to
-    the day before it (an expanding window), which is slower but tracks
-    regime changes.  Train set, test set and windows are row slices of one
-    dataset built over both ranges.
+    is predicted from a fit on the rows dated from the train start to the
+    day before it (an expanding window, fitted once per test date), which
+    is slower but tracks regime changes.  Train set, test set and windows
+    are row slices of one dataset built over both ranges.
     """
     first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
@@ -287,12 +287,15 @@ def backtest(
         fit = fit_method(method, train, system, config)
         if refit_out_of_sample:
             predictions = np.empty_like(test.y)
+            refit_day = None
             for i, case_id in enumerate(test.case_ids):
                 day = date.fromisoformat(case_id.split("|")[0])
-                window = _dated_rows(
-                    dataset, days, train_range[0], day - timedelta(days=1), f"window before {day}"
-                )
-                refit = fit_method(method, window, system, config)
+                if day != refit_day:
+                    window = _dated_rows(
+                        dataset, days, train_range[0], day - timedelta(days=1),
+                        f"window before {day}",
+                    )
+                    refit, refit_day = fit_method(method, window, system, config), day
                 predictions[i] = refit.predict(test.x[i : i + 1])[0]
         else:
             predictions = fit.predict(test.x)

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from curveshape import Dataset, constraints_for_weights
+
+# Property tests draw the same examples on every run, so a pass or a failure repeats.
+settings.register_profile("curveshape", derandomize=True, deadline=None, database=None)
+settings.load_profile("curveshape")
 
 # German-market YtQ coefficient sets (two-decimal / three-decimal published rounding).
 MCRM_SLOPES = np.array([1.121, 0.875, 0.921, 1.083])

@@ -304,13 +304,33 @@ def test_expanding_window_matches_reference_loop(monkeypatch):
                 table.filter_dates(train_range[0], day - timedelta(days=1))
             )
             fit = fit_method(method, window, system)
-            expected.append((method, list(window.case_ids), fit.gamma))
+            if list(window.case_ids) != expected[-1][1]:  # one refit per test date
+                expected.append((method, list(window.case_ids), fit.gamma))
             predictions[i] = fit.predict(np.array([test.x[i]]))[0]
         assert comp.by_method(method).out_sample == compute_metrics(test.y, predictions)
-    assert len(seen) == len(expected) == 3 * (1 + 23)
+    assert len(seen) == len(expected) == 3 * (1 + 12)
     for (method, ids, gamma), (ref_method, ref_ids, ref_gamma) in zip(seen, expected):
         assert (method, ids) == (ref_method, ref_ids)
         np.testing.assert_array_equal(gamma, ref_gamma)
+
+
+def test_expanding_window_refits_once_per_test_date(monkeypatch):
+    table, days = _two_parent_table()
+    system = constraints_for_weights(W4)
+    bt = importlib.import_module("curveshape.backtest")
+    calls = []
+
+    def counting_fit_method(method, *args, **kwargs):
+        calls.append(method)
+        return fit_method(method, *args, **kwargs)
+
+    monkeypatch.setattr(bt, "fit_method", counting_fit_method)
+    comp = backtest(
+        table, (days[0], days[29]), (days[38], days[-1]), ["mcrm", "classical"], system,
+        refit_out_of_sample=True,
+    )
+    assert comp.test_rows == 23  # 12 test dates, 11 of them with two parent rows
+    assert calls == ["mcrm"] * (1 + 12) + ["classical"] * (1 + 12)
 
 
 def test_expanding_window_needs_history_before_each_test_date():

@@ -235,6 +235,15 @@ class TestIrlsFit:
         assert np.max(np.abs(result.slopes - gamma[0::2])) < 5 * se * 3
         assert result.arbitrage_gap_maxabs <= 1e-6
 
+    def test_hourly_size_fits(self, rng):
+        # N=1000 days x K=24 hours: the pooled penalty scale takes Qn of 24,000
+        # responses, whose 288M pairs would not fit in memory if enumerated
+        weights = np.full(24, 1 / 24)
+        gamma = arbitrage_free_gamma(rng, 24)
+        ds = synthetic_dataset(rng, gamma, n=1000, noise=0.5, weights=weights)
+        result = irls_fit(ds, constraints_for_weights(weights))
+        assert result.arbitrage_gap_maxabs <= FEASIBILITY_TOLERANCE
+
     def test_robust_beats_classical_under_contamination(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
         ds_clean = synthetic_dataset(rng, gamma, n=400, x_spread=10.0, noise=0.5)

@@ -1,7 +1,10 @@
 """Tests for the robust scalar kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveshape.robust import (
     WeightFunctionSpec,
@@ -14,20 +17,34 @@ from curveshape.robust import (
 )
 
 
-def qn_bruteforce(values):
-    """Independent pairwise enumeration with the same correction factors."""
-    v = np.asarray(values, float)
-    n = v.size
-    diffs = sorted(abs(v[i] - v[j]) for i in range(n) for j in range(i + 1, n))
-    h = n // 2 + 1
-    k = h * (h - 1) // 2
+def qn_factor(n):
+    """Consistency times finite-sample correction, as the Qn definition gives them."""
     if n <= 9:
         corr = {2: 0.399, 3: 0.994, 4: 0.512, 5: 0.844, 6: 0.611, 7: 0.857, 8: 0.669, 9: 0.872}[n]
     elif n % 2 == 1:
         corr = n / (n + 1.4)
     else:
         corr = n / (n + 3.8)
-    return 2.2219 * corr * diffs[k - 1]
+    return 2.2219 * corr
+
+
+def qn_bruteforce(values):
+    """Independent pairwise enumeration with the same correction factors."""
+    v = np.asarray(values, float)
+    n = v.size
+    diffs = sorted(abs(v[i] - v[j]) for i in range(n) for j in range(i + 1, n))
+    h = n // 2 + 1
+    return qn_factor(n) * diffs[h * (h - 1) // 2 - 1]
+
+
+def qn_partition_oracle(values):
+    """The same statistic from all n (n - 1) / 2 pairs, partitioned in numpy."""
+    v = np.asarray(values, float)
+    n = v.size
+    i, j = np.triu_indices(n, k=1)
+    h = n // 2 + 1
+    k = h * (h - 1) // 2
+    return qn_factor(n) * np.partition(np.abs(v[i] - v[j]), k - 1)[k - 1]
 
 
 class TestMedian:
@@ -108,6 +125,54 @@ class TestQnScale:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate sample"):
             qn_scale([3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite sample"):
+            qn_scale(np.r_[np.arange(20.0), bad])
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 2000),
+        kind=st.sampled_from(["normal", "ties", "ticks", "runs", "magnitudes", "constant"]),
+    )
+    def test_matches_partition_oracle_and_ignores_order(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            v = rng.standard_normal(n) * rng.uniform(0.5, 4.0)
+        elif kind == "ties":
+            v = rng.integers(0, 6, n).astype(float)
+        elif kind == "ticks":  # prices on a 0.01 grid around the desk level
+            v = np.round(50.0 + 5.0 * rng.standard_normal(n), 2)
+        elif kind == "runs":
+            v = np.repeat(rng.standard_normal(n), rng.integers(1, 40, n))[:n]
+        elif kind == "magnitudes":
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        else:
+            v = np.full(n, rng.uniform(-100.0, 100.0))
+        expected = qn_partition_oracle(v)
+        assert qn_scale(v) == expected
+        assert qn_scale(rng.permutation(v)) == expected
+        if kind == "constant":
+            assert expected == 0.0
+
+    @settings(max_examples=150)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=80))
+    def test_matches_partition_oracle_on_any_finite_floats(self, values):
+        # covers signed zeros, subnormals and differences that overflow to inf
+        with np.errstate(over="ignore"):
+            assert qn_scale(values) == qn_partition_oracle(values)
+
+    def test_memory_is_linear(self):
+        values = np.round(50.0 + 5.0 * np.random.default_rng(6).standard_normal(6000), 2)
+        tracemalloc.start()
+        try:
+            qn_scale(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # all 17,997,000 pairs as float64 alone take 137 MB
 
 
 class TestHampelWeight:
