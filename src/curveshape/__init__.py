@@ -8,12 +8,10 @@ iteratively reweighted fit.
 
 from .backtest import (
     ComparisonTable,
-    MetricsReport,
     SyntheticMarketConfig,
     XPathParams,
     backtest,
     compute_metrics,
-    fit_method,
     synthesize_market,
 )
 from .baselines import ratio_average_fit, rescale_to_no_arbitrage
@@ -24,38 +22,20 @@ from .constraints import (
     build_split,
     constraints_for_weights,
     split_from_config,
-    split_to_config,
 )
 from .estimator import (
     Dataset,
     FitConfig,
     FitResult,
     classical_fit,
-    initial_weights,
     irls_fit,
     outlier_report,
     penalized_wls_solve,
-    residual_distances,
 )
 from .exceptions import CurveShapeError, DataError, DegenerateScaleWarning, NumericalError
 from .market import QuoteTable, build_regression_dataset, load_quotes
-from .periods import (
-    CalendarConfig,
-    Period,
-    delivery_hours,
-    parse_contract,
-    parse_period_label,
-    resolve_relative,
-)
-from .robust import (
-    WeightFunctionSpec,
-    bisquare_loss,
-    bisquare_weight,
-    hampel_weight,
-    mad_scale,
-    median,
-    qn_scale,
-)
+from .periods import Period, parse_period_label, resolve_relative
+from .robust import WeightFunctionSpec, bisquare_loss, hampel_weight, qn_scale
 from .shaping import (
     MarketMatch,
     ShapingCascade,
@@ -66,14 +46,12 @@ from .shaping import (
     cascade_to_config,
     recalibrate_with_traded,
     shape_curve,
-    shift_intercept,
     verify_consistency,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalendarConfig",
     "ComparisonTable",
     "ConstraintSystem",
     "CurveShapeError",
@@ -84,7 +62,6 @@ __all__ = [
     "FitResult",
     "GranularitySplit",
     "MarketMatch",
-    "MetricsReport",
     "NumericalError",
     "Period",
     "QuoteTable",
@@ -97,7 +74,6 @@ __all__ = [
     "arbitrage_gap",
     "backtest",
     "bisquare_loss",
-    "bisquare_weight",
     "build_regression_dataset",
     "build_split",
     "cascade",
@@ -106,28 +82,19 @@ __all__ = [
     "classical_fit",
     "compute_metrics",
     "constraints_for_weights",
-    "delivery_hours",
-    "fit_method",
     "hampel_weight",
-    "initial_weights",
     "irls_fit",
     "load_quotes",
-    "mad_scale",
-    "median",
     "outlier_report",
-    "parse_contract",
     "parse_period_label",
     "penalized_wls_solve",
     "qn_scale",
     "ratio_average_fit",
     "recalibrate_with_traded",
     "rescale_to_no_arbitrage",
-    "residual_distances",
     "resolve_relative",
     "shape_curve",
-    "shift_intercept",
     "split_from_config",
-    "split_to_config",
     "synthesize_market",
     "verify_consistency",
 ]

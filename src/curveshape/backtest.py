@@ -5,7 +5,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from pathlib import Path
 
 import numpy as np
 
@@ -60,13 +59,12 @@ def compute_metrics(actual, predicted) -> MetricsReport:
 
 @dataclass(frozen=True)
 class XPathParams:
-    """Parent price path: a level with seasonal swing, drift, and noise."""
+    """Parent price path: a level with seasonal swing and noise."""
 
     level: float = 50.0
     seasonal_amplitude: float = 5.0
     period_days: float = 365.0
     noise: float = 0.5
-    trend: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class SyntheticMarketConfig:
     n_dates: int = 250
     start: date = date(2013, 1, 2)
     delivery_year: int = 2014
-    child_kind: str = "quarter"
     x_path: XPathParams = field(default_factory=XPathParams)
     noise_scale: float | np.ndarray = 0.5
     contamination_fraction: float = 0.0
@@ -86,7 +83,6 @@ class SyntheticMarketConfig:
     contamination_type: str = "vertical"
     contamination_column: int | None = None
     contamination_sign: str = "random"
-    contamination_placement: str = "random"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,8 +98,6 @@ class SyntheticMarketConfig:
             raise DataError(f"unknown contamination type: {self.contamination_type!r}")
         if self.contamination_sign not in ("random", "positive", "negative"):
             raise DataError(f"unknown contamination sign: {self.contamination_sign!r}")
-        if self.contamination_placement not in ("random", "high_x"):
-            raise DataError(f"unknown contamination placement: {self.contamination_placement!r}")
         system = constraints_for_weights(weights)
         gap = np.max(np.abs(arbitrage_gap(system, gamma)))
         if gap > 1e-10:
@@ -158,20 +152,12 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     x = (
         path.level
         + path.seasonal_amplitude * np.sin(2.0 * np.pi * t / path.period_days)
-        + path.trend * t
         + path.noise * rng_path.standard_normal(n)
     )
     y = x[:, None] * slopes + intercepts + rng_noise.standard_normal((n, k)) * noise_scale
 
     n_bad = int(round(config.contamination_fraction * n))
-    if n_bad:
-        if config.contamination_placement == "high_x":
-            candidates = np.argsort(x)[-2 * n_bad :]
-        else:
-            candidates = np.arange(n)
-        bad_rows = np.sort(rng_contam.choice(candidates, size=n_bad, replace=False))
-    else:
-        bad_rows = np.array([], dtype=int)
+    bad_rows = np.sort(rng_contam.choice(n, size=n_bad, replace=False))
     if config.contamination_type == "vertical":
         if config.contamination_column is None:
             bad_cols = rng_contam.integers(0, k, size=n_bad)
@@ -188,12 +174,9 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
             x[row] *= config.outlier_magnitude
 
     parent = year_period(config.delivery_year)
-    children = period_children(parent, config.child_kind)
+    children = period_children(parent, "quarter")
     if len(children) != k:
-        raise DataError(
-            f"gamma has {k} children but a {config.child_kind!r} split of "
-            f"{parent.label} has {len(children)}"
-        )
+        raise DataError(f"gamma has {k} children but {parent.label} has {len(children)} quarters")
     quotes = []
     for i, d in enumerate(quote_dates):
         quotes.append(Quote(d, parent.label, parent, float(x[i])))
@@ -234,9 +217,6 @@ class ComparisonTable:
                     f"{report.mean_se!r},{report.med_se!r}"
                 )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
 
 
 def fit_method(

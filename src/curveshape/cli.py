@@ -236,7 +236,7 @@ def _cmd_check_arbitrage(args) -> int:
     gap = arbitrage_gap(system, gamma)
     max_gap = float(np.max(np.abs(gap)))
     sys.stdout.write(f"max-abs arbitrage gap: {max_gap:.6g} (tolerance {args.tol:g})\n")
-    if max_gap > args.tol:
+    if not max_gap <= args.tol:  # a NaN gap is a violation
         sys.stderr.write("non-arbitrage constraints violated\n")
         return 2
     return 0
@@ -244,7 +244,10 @@ def _cmd_check_arbitrage(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.gamma:
-        gamma = np.asarray(_read_json(args.gamma)["gamma"], dtype=float)
+        gamma_file = _read_json(args.gamma)
+        if "gamma" not in gamma_file:
+            raise DataError(f"{args.gamma} has no 'gamma' key")
+        gamma = np.asarray(gamma_file["gamma"], dtype=float)
     else:
         gamma = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
     k = gamma.size // 2

@@ -8,7 +8,7 @@ hour-weighted average of shaped child prices reproduces the parent price.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +20,13 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GranularitySplit:
-    """A parent period subdivided into K ordered children with hour weights.
-
-    ``child_hours`` is kept for day-type and hour children whose windows
-    are not contiguous; for plain period children it equals the window
-    hour count.
-    """
+    """A parent period subdivided into K ordered children with hour weights."""
 
     parent_label: str
     child_labels: tuple[str, ...]
     weights: np.ndarray
     parent: Period | None = None
     children: tuple[Period, ...] | None = None
-    child_hours: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -41,6 +35,8 @@ class GranularitySplit:
             raise DataError("split needs at least one child")
         if w.size != len(self.child_labels):
             raise DataError("weights and children disagree in length")
+        if not np.all(np.isfinite(w)):
+            raise DataError("split weights must be finite")
         if np.any(w <= 0):
             raise DataError("split weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
@@ -78,63 +74,46 @@ def build_split(
         weights=weights,
         parent=parent,
         children=tuple(children),
-        child_hours=tuple(hours),
     )
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Equality system ``matrix @ gamma = rhs`` on (A_1, B_1, ..., A_K, B_K)."""
+    """The two non-arbitrage rows ``matrix @ gamma = rhs`` on (A_1, B_1, ..., A_K, B_K).
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    Held as the split weights h; ``matrix`` and ``rhs`` are built on demand.
+    """
+
+    weights: np.ndarray
+    n_rows = 2
 
     def __post_init__(self) -> None:
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        r = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        if m.shape[0] != r.shape[0]:
-            raise DataError("constraint matrix and rhs disagree in rows")
-        if m.shape[1] % 2 != 0:
-            raise DataError("constraint matrix must have 2K columns")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", r)
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((2, 2 * self.weights.size))
+        m[0, 0::2] = self.weights
+        m[1, 1::2] = self.weights
+        return m
 
     @property
-    def n_children(self) -> int:
-        return self.matrix.shape[1] // 2
+    def rhs(self) -> np.ndarray:
+        return np.array([1.0, 0.0])
 
 
 def constraints_for_weights(weights) -> ConstraintSystem:
     """Canonical two-row non-arbitrage system for the split weights h."""
-    w = np.asarray(weights, dtype=float)
-    k = w.size
-    matrix = np.zeros((2, 2 * k))
-    matrix[0, 0::2] = w
-    matrix[1, 1::2] = w
-    return ConstraintSystem(matrix=matrix, rhs=np.array([1.0, 0.0]))
+    return ConstraintSystem(weights)
 
 
 def arbitrage_gap(system: ConstraintSystem, gamma) -> np.ndarray:
-    """Componentwise residual ``matrix @ gamma - rhs``."""
+    """Componentwise residual ``matrix @ gamma - rhs``: (sum h A - 1, sum h B)."""
     g = np.asarray(gamma, dtype=float)
-    if g.shape != (system.matrix.shape[1],):
-        raise DataError(
-            f"gamma has {g.shape} entries, expected ({system.matrix.shape[1]},)"
-        )
-    return system.matrix @ g - system.rhs
-
-
-def split_to_config(split: GranularitySplit) -> dict:
-    """Declarative config block for a split (parent, children, weights)."""
-    return {
-        "parent": split.parent_label,
-        "children": list(split.child_labels),
-        "weights": [float(w) for w in split.weights],
-    }
+    h = system.weights
+    if g.shape != (2 * h.size,):
+        raise DataError(f"gamma has {g.shape} entries, expected ({2 * h.size},)")
+    return np.array([h @ g[0::2] - 1.0, h @ g[1::2]])
 
 
 def split_from_config(config: dict, calendar: CalendarConfig = DEFAULT_CALENDAR) -> GranularitySplit:

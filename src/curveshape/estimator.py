@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSystem, arbitrage_gap, constraints_for_weights
+from .constraints import ConstraintSystem, arbitrage_gap
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
 from .robust import WeightFunctionSpec, mad_scale, qn_scale
 
@@ -79,7 +79,7 @@ class FitConfig:
     feasibility_retry: bool = True
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise DataError("tolerance must be positive")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
@@ -144,16 +144,28 @@ class FitResult:
 
 def gamma_from_report(report: dict) -> np.ndarray:
     """Recover the interleaved coefficient vector from a fit report."""
-    coeffs = report["coefficients"]
-    k = len(coeffs) // 2
-    gamma = np.empty(2 * k)
-    for j in range(k):
-        gamma[2 * j] = coeffs[f"A{j + 1}"]
-        gamma[2 * j + 1] = coeffs[f"B{j + 1}"]
+    try:
+        coeffs = report["coefficients"]
+        k = len(coeffs) // 2
+        gamma = np.empty(2 * k)
+        for j in range(k):
+            gamma[2 * j] = coeffs[f"A{j + 1}"]
+            gamma[2 * j + 1] = coeffs[f"B{j + 1}"]
+    except KeyError as exc:
+        raise DataError(f"fit report has no {exc.args[0]!r} key") from exc
     return gamma
 
 
-def _initial_distances(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, bool]:
+def _initial_weights(
+    dataset: Dataset, spec: WeightFunctionSpec
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Starting case weights from coarse x- and y-outlyingness, with the x distances.
+
+    The x distance is the MAD-standardized deviation from the median; the
+    y distance is the row norm of the column-median-centered responses over
+    the median such norm.  Both pass through the downweighting function and
+    combine as a geometric mean.
+    """
     x, y = dataset.x, dataset.y
     row_norms = np.linalg.norm(y - np.median(y, axis=0), axis=1)
     den_y = float(np.median(row_norms))
@@ -171,27 +183,19 @@ def _initial_distances(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, bool]:
             DegenerateScaleWarning,
             stacklevel=3,
         )
-    return np.abs(x - np.median(x)) / den_x, row_norms / den_y, degenerate
-
-
-def initial_weights(
-    dataset: Dataset, weight_spec: WeightFunctionSpec | None = None
-) -> np.ndarray:
-    """Starting case weights from coarse x- and y-outlyingness.
-
-    The x distance is the MAD-standardized deviation from the median; the
-    y distance is the row norm of the column-median-centered responses over
-    the median such norm.  Both pass through the downweighting function and
-    combine as a geometric mean.
-    """
-    spec = weight_spec or WeightFunctionSpec()
-    d_x, d_y, _ = _initial_distances(dataset)
-    return np.sqrt(spec.weight(d_x) * spec.weight(d_y))
+    d_x = np.abs(x - np.median(x)) / den_x
+    return np.sqrt(spec.weight(d_x) * spec.weight(row_norms / den_y)), d_x, degenerate
 
 
 def _residual_distances(
     residuals: np.ndarray, scale_estimator: str
 ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per-case distances of robustly centered and scaled residual rows, with the scales.
+
+    Each column is median-centered and divided by its consistency-scaled
+    MAD (or Qn); the K standardized entries combine as the Euclidean norm
+    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.
+    """
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 2:
         raise DataError("residuals must be (N, K)")
@@ -214,17 +218,6 @@ def _residual_distances(
     return d, scales, degenerate
 
 
-def residual_distances(residuals, scale_estimator: str = "mad") -> np.ndarray:
-    """Per-case distances of robustly centered and scaled residual rows.
-
-    Each column is median-centered and divided by its consistency-scaled
-    MAD (or Qn); the K standardized entries combine as the Euclidean norm
-    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.
-    """
-    d, _, _ = _residual_distances(residuals, scale_estimator)
-    return d
-
-
 def penalized_wls_solve(
     x,
     y,
@@ -236,7 +229,7 @@ def penalized_wls_solve(
     """Exact minimizer of the weighted squares plus quadratic constraint penalty.
 
     Minimizes ``sum_ik w_i^2 (y_ik - A_k x_i - B_k)^2 + alpha |M gamma - r|^2``
-    for the canonical system ``M gamma = r`` of ``constraints_for_weights(h)``.
+    for the system ``M gamma = r`` of the split weights h (one per child).
     Every child shares x and the case weights, so with ``G`` the weighted
     2x2 Gram of ``[x, 1]``, ``beta_k`` the per-child weighted OLS pair and
     ``s0 = sum_k h_k beta_k - r``, the minimizer is the closed form
@@ -254,15 +247,15 @@ def penalized_wls_solve(
     if ya.ndim == 1:
         ya = ya[:, None]
     n, k = ya.shape
-    h = system.matrix[0, 0::2]
-    if h.size != k or not np.array_equal(system.matrix, constraints_for_weights(h).matrix):
-        raise DataError("penalized solve needs the canonical two-row system for K children")
+    h = system.weights
+    if h.size != k:
+        raise DataError(f"constraint system has {h.size} weights, not one per child (K={k})")
     pins = fixed or {}
     for j in pins:
         if not 0 <= j < k:
             raise DataError(f"pinned child {j} out of range for K={k}")
     gamma = np.empty((k, 2))
-    r = system.rhs.copy()
+    r = system.rhs
     for j, pair in pins.items():
         gamma[j] = pair
         r -= h[j] * gamma[j]
@@ -342,8 +335,7 @@ def _fit_loop(
     fixed: dict[int, tuple[float, float]] | None,
 ) -> FitResult:
     spec = config.weight_spec
-    d_x, d_y, degen = _initial_distances(dataset)
-    weights = np.sqrt(spec.weight(d_x) * spec.weight(d_y))
+    weights, d_x, degen = _initial_weights(dataset, spec)
     intercepts_prev = None
     converged = False
     for iterations in range(1, config.max_iterations + 1):

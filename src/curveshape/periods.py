@@ -199,7 +199,6 @@ def period_children(parent: Period, child_kind: str) -> list[Period]:
 class ContractCode:
     """Either a relative code (kind + offset) or an absolute period."""
 
-    raw: str
     offset: int | None = None
     rel_kind: str | None = None
     period: Period | None = None
@@ -217,8 +216,8 @@ def parse_contract(code: str) -> ContractCode:
         offset = int(m.group(2))
         if offset < 1:
             raise DataError(f"relative offset must be >= 1: {code!r}")
-        return ContractCode(raw=code, offset=offset, rel_kind=m.group(1))
-    return ContractCode(raw=code, period=parse_period_label(code))
+        return ContractCode(offset=offset, rel_kind=m.group(1))
+    return ContractCode(period=parse_period_label(code))
 
 
 def resolve_relative(code: ContractCode | str, quote_date: date) -> Period:

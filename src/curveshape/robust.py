@@ -1,4 +1,4 @@
-"""Robust scalar statistics: medians, MAD and Qn scales, bounded weight functions.
+"""Robust scalar statistics: MAD and Qn scales, bounded weight functions.
 
 The downweighting functions map a standardized distance to a weight in
 [0, 1].  Hampel's piecewise function keeps full weight up to ``a``, decays
@@ -65,14 +65,6 @@ class WeightFunctionSpec:
         if self.kind == "hampel":
             return hampel_weight(x, self)
         return bisquare_weight(x, self.bisquare_k)
-
-
-def median(values) -> float:
-    """Standard median: average of the two central order statistics when even."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("empty sample")
-    return float(np.median(v))
 
 
 def mad_scale(values, consistency: float = MAD_CONSISTENCY, axis: int | None = None):

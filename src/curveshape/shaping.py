@@ -9,7 +9,7 @@ type (weekday / Saturday / Sunday).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
@@ -71,27 +71,6 @@ def apply_level(parent_price: float, level: ShapingLevel, override: bool = False
             f"(max gap {np.max(np.abs(level.gap())):.3g}); pass override to force"
         )
     return level.coefficients[:, 0] * parent_price + level.coefficients[:, 1]
-
-
-def shift_intercept(level: ShapingLevel, child_index: int, delta: float) -> ShapingLevel:
-    """Stress-shift one intercept, rebalancing siblings to stay arbitrage-free.
-
-    The shift delta lands on child j; the weighted surplus h_j * delta is
-    removed uniformly (in weighted terms) from the remaining siblings.
-    """
-    k = level.split.n_children
-    if not 0 <= child_index < k:
-        raise DataError(f"child index {child_index} out of range")
-    if k == 1:
-        raise DataError("cannot rebalance a single-child level")
-    w = level.split.weights
-    coeffs = level.coefficients.copy()
-    coeffs[child_index, 1] += delta
-    others = [j for j in range(k) if j != child_index]
-    spread = w[child_index] * delta / float(np.sum(w[others]))
-    for j in others:
-        coeffs[j, 1] -= spread
-    return dc_replace(level, coefficients=coeffs)
 
 
 @dataclass
@@ -182,19 +161,14 @@ def verify_consistency(parent_price: float, child_prices, weights) -> float:
 class MarketMatch:
     """Recalibration instruction: make one shaped child hit a traded price.
 
-    With ``solve="slope"`` the prior intercept is kept and the slope is
-    solved from the match; ``solve="intercept"`` fixes the prior slope
-    instead.
+    The prior intercept is kept and the slope is solved from the match.
     """
 
     child_index: int
     traded_price: float
     parent_quote: float
-    solve: str = "slope"
 
     def __post_init__(self) -> None:
-        if self.solve not in ("slope", "intercept"):
-            raise DataError("solve must be 'slope' or 'intercept'")
         if self.parent_quote == 0.0:
             raise DataError("zero parent quote")
 
@@ -211,7 +185,7 @@ def recalibrate_with_traded(
 
     ``fixed`` maps child index -> (A, B).  ``market_match`` instead derives
     the pinned pair from a traded child price and the current parent quote,
-    keeping the complementary coefficient from ``prior``.  The remaining
+    keeping the intercept from ``prior``.  The remaining
     coefficients are re-estimated robustly by one ``irls_fit``, which
     returns the pinned pairs exactly and, when its penalized fit misses the
     feasibility tolerance, falls back to the exact equality-constrained
@@ -224,13 +198,8 @@ def recalibrate_with_traded(
             raise DataError(f"child {j} pinned twice")
         if prior is None:
             raise DataError("market matching needs the prior fit")
-        if market_match.solve == "slope":
-            b_j = float(prior.gamma[2 * j + 1])
-            a_j = (market_match.traded_price - b_j) / market_match.parent_quote
-        else:
-            a_j = float(prior.gamma[2 * j])
-            b_j = market_match.traded_price - a_j * market_match.parent_quote
-        pins[j] = (a_j, b_j)
+        b_j = float(prior.gamma[2 * j + 1])
+        pins[j] = ((market_match.traded_price - b_j) / market_match.parent_quote, b_j)
     return irls_fit(dataset, system, config, fixed=pins)
 
 
@@ -251,7 +220,6 @@ def daytype_split(month: Period, calendar: CalendarConfig = DEFAULT_CALENDAR) ->
         child_labels=tuple(f"{month.label}:{t}" for t in DAY_TYPES),
         weights=np.array(hours, dtype=float) / float(total),
         parent=month,
-        child_hours=tuple(hours),
     )
 
 

@@ -9,17 +9,16 @@ import pytest
 
 from conftest import arbitrage_free_gamma, synthetic_dataset
 from curveshape import (
-    MetricsReport,
     SyntheticMarketConfig,
     XPathParams,
     backtest,
     build_regression_dataset,
     compute_metrics,
     constraints_for_weights,
-    fit_method,
     irls_fit,
     synthesize_market,
 )
+from curveshape.backtest import MetricsReport, fit_method
 from curveshape.exceptions import DataError
 from curveshape.market import QuoteTable
 
@@ -215,7 +214,7 @@ class TestBacktest:
             constraints_for_weights(W4),
         )
         out = tmp_path / "comparison.csv"
-        comp.write_csv(out)
+        out.write_text(comp.to_csv())
         with out.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         expected = [

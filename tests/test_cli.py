@@ -68,6 +68,13 @@ class TestFit:
         _, quotes, _ = workspace
         assert main(["fit", "--quotes", str(quotes)]) == 1
 
+    def test_nan_split_weight_is_a_data_error(self, workspace, capsys):
+        tmp_path, quotes, _ = workspace
+        split = tmp_path / "nan-split.json"
+        split.write_text(json.dumps(dict(SPLIT_CONFIG, weights=[float("nan"), 0.25, 0.25, 0.25])))
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_numeric_alpha_flag(self, workspace):
         tmp_path, quotes, split = workspace
         out = tmp_path / "fit0.json"
@@ -277,6 +284,32 @@ class TestCheckArbitrage:
         rc = main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split), "--tol", "1e-6"])
         assert rc == 2
         assert "violated" in capsys.readouterr().err
+
+    def test_nan_coefficient_fails(self, workspace, capsys):
+        tmp_path, _, split = workspace
+        coeffs = tmp_path / "nan.json"
+        pairs = {"A1": float("nan"), "B1": 0.0, "A2": 1.0, "B2": 0.0, "A3": 1.0, "B3": 0.0, "A4": 1.0, "B4": 0.0}
+        coeffs.write_text(json.dumps({"coefficients": pairs}))
+        assert main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split)]) == 2
+        assert "violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("check-arbitrage", "coefficients"), ("predict", "coefficients"), ("simulate", "gamma")],
+)
+def test_missing_json_key_is_a_data_error(tmp_path, capsys, command, key):
+    split, cascade, bad = tmp_path / "split.json", tmp_path / "cascade.json", tmp_path / "bad.json"
+    split.write_text(json.dumps(SPLIT_CONFIG))
+    cascade.write_text(json.dumps(TestPredict().cascade_config(None)))
+    bad.write_text(json.dumps({"method": "mcrm"}))
+    argv = {
+        "check-arbitrage": ["--coeffs", str(bad), "--split", str(split)],
+        "predict": ["--coeffs", str(bad), "--cascade", str(cascade), "--parent-price", "50", "--target", "quarter"],
+        "simulate": ["--gamma", str(bad)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 class TestSimulate:

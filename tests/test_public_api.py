@@ -1,0 +1,69 @@
+"""The package's public surface: ``curveshape.__all__`` and the names README uses."""
+
+import re
+from pathlib import Path
+
+import curveshape as cs
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = {
+    "ComparisonTable",
+    "ConstraintSystem",
+    "CurveShapeError",
+    "DataError",
+    "Dataset",
+    "DegenerateScaleWarning",
+    "FitConfig",
+    "FitResult",
+    "GranularitySplit",
+    "MarketMatch",
+    "NumericalError",
+    "Period",
+    "QuoteTable",
+    "ShapingCascade",
+    "ShapingLevel",
+    "SyntheticMarketConfig",
+    "WeightFunctionSpec",
+    "XPathParams",
+    "apply_level",
+    "arbitrage_gap",
+    "backtest",
+    "bisquare_loss",
+    "build_regression_dataset",
+    "build_split",
+    "cascade",
+    "cascade_from_config",
+    "cascade_to_config",
+    "classical_fit",
+    "compute_metrics",
+    "constraints_for_weights",
+    "hampel_weight",
+    "irls_fit",
+    "load_quotes",
+    "outlier_report",
+    "parse_period_label",
+    "penalized_wls_solve",
+    "qn_scale",
+    "ratio_average_fit",
+    "recalibrate_with_traded",
+    "rescale_to_no_arbitrage",
+    "resolve_relative",
+    "shape_curve",
+    "split_from_config",
+    "synthesize_market",
+    "verify_consistency",
+}
+
+
+def test_all_is_the_public_surface():
+    assert len(cs.__all__) == len(set(cs.__all__))
+    assert set(cs.__all__) == PUBLIC
+    assert [name for name in cs.__all__ if not hasattr(cs, name)] == []
+
+
+def test_readme_python_names_are_public():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    names = set(re.findall(r"\bcs\.(\w+)", "".join(blocks)))
+    assert names
+    assert sorted(names - set(cs.__all__)) == []

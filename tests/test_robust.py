@@ -12,7 +12,6 @@ from curveshape.robust import (
     bisquare_weight,
     hampel_weight,
     mad_scale,
-    median,
     qn_scale,
 )
 
@@ -45,21 +44,6 @@ def qn_partition_oracle(values):
     h = n // 2 + 1
     k = h * (h - 1) // 2
     return qn_factor(n) * np.partition(np.abs(v[i] - v[j]), k - 1)[k - 1]
-
-
-class TestMedian:
-    def test_odd(self):
-        assert median([3, 1, 2]) == 2.0
-
-    def test_even_midpoint(self):
-        assert median([1, 2, 3, 4]) == 2.5
-
-    def test_singleton(self):
-        assert median([5]) == 5.0
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="empty sample"):
-            median([])
 
 
 class TestMadScale:

@@ -21,7 +21,6 @@ from curveshape import (
     irls_fit,
     recalibrate_with_traded,
     shape_curve,
-    shift_intercept,
     verify_consistency,
 )
 from curveshape.constraints import GranularitySplit
@@ -87,20 +86,6 @@ class TestApplyLevel:
         with pytest.raises(DataError, match="non-arbitrage"):
             apply_level(50.0, level)
         np.testing.assert_allclose(apply_level(50.0, level, override=True), [60.0, 60.0])
-
-
-class TestShiftIntercept:
-    def test_stays_arbitrage_free(self, rng):
-        level = random_level(rng, "P", ["a", "b", "c", "d"], [0.2, 0.3, 0.1, 0.4])
-        shifted = shift_intercept(level, 1, 2.5)
-        assert shifted.is_arbitrage_free
-        assert shifted.coefficients[1, 1] == pytest.approx(level.coefficients[1, 1] + 2.5)
-        np.testing.assert_allclose(shifted.coefficients[:, 0], level.coefficients[:, 0])
-
-    def test_single_child_rejected(self):
-        level = identity_level("P", "c")
-        with pytest.raises(DataError):
-            shift_intercept(level, 0, 1.0)
 
 
 class TestCascade:
@@ -201,20 +186,8 @@ class TestRecalibration:
         )
         shaped = result.gamma[4] * 51.0 + result.gamma[5]
         assert shaped == pytest.approx(48.75, rel=1e-9)
-        assert result.gamma[5] == prior.gamma[5]  # intercept kept in slope mode
+        assert result.gamma[5] == prior.gamma[5]  # prior intercept kept
         assert result.arbitrage_gap_maxabs <= 1e-6
-
-    def test_market_match_intercept_mode(self, rng, equal_weight_system):
-        gamma = arbitrage_free_gamma(rng, 4)
-        ds = synthetic_dataset(rng, gamma, n=150, noise=0.5)
-        prior = irls_fit(ds, equal_weight_system)
-        match = MarketMatch(child_index=0, traded_price=58.0, parent_quote=51.0, solve="intercept")
-        result = recalibrate_with_traded(
-            ds, equal_weight_system, market_match=match, prior=prior
-        )
-        assert result.gamma[0] == prior.gamma[0]
-        shaped = result.gamma[0] * 51.0 + result.gamma[1]
-        assert shaped == pytest.approx(58.0, rel=1e-9)
 
     def test_infeasible_fix_propagates(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
