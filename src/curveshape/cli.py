@@ -46,9 +46,12 @@ def _read_json(path: str) -> dict:
     if not p.exists():
         raise DataError(f"cannot read file: {path}")
     try:
-        return json.loads(p.read_text())
+        data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return data
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -158,9 +161,10 @@ def _cmd_predict(args) -> int:
         coeff_report = _read_json(args.coeffs)
         gamma = gamma_from_report(coeff_report)
         pairs = [[float(gamma[2 * j]), float(gamma[2 * j + 1])] for j in range(gamma.size // 2)]
+        # Levels and splits that are not objects are left for cascade_from_config to reject.
         for level_cfg in config.get("levels", []):
-            for split_cfg in level_cfg.get("splits", []):
-                if split_cfg.get("coefficients") is None:
+            for split_cfg in level_cfg.get("splits", []) if isinstance(level_cfg, dict) else ():
+                if isinstance(split_cfg, dict) and split_cfg.get("coefficients") is None:
                     if len(split_cfg.get("children", ())) != len(pairs):
                         raise DataError(
                             "coefficient file width disagrees with cascade split "

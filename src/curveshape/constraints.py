@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError
-from .periods import CalendarConfig, DEFAULT_CALENDAR, Period, delivery_hours, parse_period_label
+from .periods import Period, delivery_hours, parse_period_label
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -47,11 +47,7 @@ class GranularitySplit:
         return len(self.child_labels)
 
 
-def build_split(
-    parent: Period,
-    children: list[Period],
-    calendar: CalendarConfig = DEFAULT_CALENDAR,
-) -> GranularitySplit:
+def build_split(parent: Period, children: list[Period]) -> GranularitySplit:
     """Split a parent into children weighted by their delivery-hour share.
 
     The children must tile the parent window exactly, in order.
@@ -65,8 +61,8 @@ def build_split(
         cursor = child.end
     if cursor != parent.end:
         raise DataError("children do not partition parent")
-    hours = [delivery_hours(c, calendar) for c in children]
-    total = delivery_hours(parent, calendar)
+    hours = [delivery_hours(c) for c in children]
+    total = delivery_hours(parent)
     weights = np.array(hours, dtype=float) / float(total)
     return GranularitySplit(
         parent_label=parent.label,
@@ -88,7 +84,13 @@ class ConstraintSystem:
     n_rows = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        h = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", h)
+        # |h|^2 divides the exact-limit solve.  It is finite and positive when
+        # the weights are finite and not all zero, and one dot product checks
+        # both on the path that rebuilds a system per applied level.
+        if not 0.0 < float(np.vdot(h, h)) < np.inf:
+            raise DataError("constraint weights must be finite and not all zero")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -116,7 +118,7 @@ def arbitrage_gap(system: ConstraintSystem, gamma) -> np.ndarray:
     return np.array([h @ g[0::2] - 1.0, h @ g[1::2]])
 
 
-def split_from_config(config: dict, calendar: CalendarConfig = DEFAULT_CALENDAR) -> GranularitySplit:
+def split_from_config(config: dict) -> GranularitySplit:
     """Build a split from a config block.
 
     Explicit ``weights`` override hour-derived ones; children named by
@@ -145,7 +147,7 @@ def split_from_config(config: dict, calendar: CalendarConfig = DEFAULT_CALENDAR)
         )
     parent = parse_period_label(parent_label)
     children = [parse_period_label(c) for c in child_labels]
-    return build_split(parent, children, calendar)
+    return build_split(parent, children)
 
 
 def _try_parse(label: str) -> Period | None:

@@ -146,6 +146,8 @@ def gamma_from_report(report: dict) -> np.ndarray:
     """Recover the interleaved coefficient vector from a fit report."""
     try:
         coeffs = report["coefficients"]
+        if not isinstance(coeffs, dict):
+            raise DataError("fit report 'coefficients' must be an object")
         k = len(coeffs) // 2
         gamma = np.empty(2 * k)
         for j in range(k):
@@ -159,12 +161,12 @@ def gamma_from_report(report: dict) -> np.ndarray:
 def _initial_weights(
     dataset: Dataset, spec: WeightFunctionSpec
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Starting case weights from coarse x- and y-outlyingness, with the x distances.
+    """Starting case weights from coarse x- and y-outlyingness, with the x weights.
 
     The x distance is the MAD-standardized deviation from the median; the
     y distance is the row norm of the column-median-centered responses over
     the median such norm.  Both pass through the downweighting function and
-    combine as a geometric mean.
+    combine as a geometric mean.  The x weights stay fixed for the whole fit.
     """
     x, y = dataset.x, dataset.y
     row_norms = np.linalg.norm(y - np.median(y, axis=0), axis=1)
@@ -183,8 +185,8 @@ def _initial_weights(
             DegenerateScaleWarning,
             stacklevel=3,
         )
-    d_x = np.abs(x - np.median(x)) / den_x
-    return np.sqrt(spec.weight(d_x) * spec.weight(row_norms / den_y)), d_x, degenerate
+    w_x = spec.weight(np.abs(x - np.median(x)) / den_x)
+    return np.sqrt(w_x * spec.weight(row_norms / den_y)), w_x, degenerate
 
 
 def _residual_distances(
@@ -335,7 +337,7 @@ def _fit_loop(
     fixed: dict[int, tuple[float, float]] | None,
 ) -> FitResult:
     spec = config.weight_spec
-    weights, d_x, degen = _initial_weights(dataset, spec)
+    weights, w_x, degen = _initial_weights(dataset, spec)
     intercepts_prev = None
     converged = False
     for iterations in range(1, config.max_iterations + 1):
@@ -345,7 +347,7 @@ def _fit_loop(
             _residuals(dataset, gamma), config.scale_estimator
         )
         degen = degen or degen_r
-        weights = np.sqrt(spec.weight(d_x) * spec.weight(d_r))
+        weights = np.sqrt(w_x * spec.weight(d_r))
         if intercepts_prev is not None:
             if float(np.max(np.abs(intercepts - intercepts_prev))) < config.tolerance:
                 converged = True

@@ -21,21 +21,6 @@ _RELATIVE_RE = re.compile(r"^(WE|[DWMQY])\+(\d+)$")
 _QUARTER_START_MONTH = {1: 1, 2: 4, 3: 7, 4: 10}
 
 
-@dataclass(frozen=True)
-class CalendarConfig:
-    """Calendar conventions for hour counting.
-
-    ``dst_aware`` applies the EU clock-change rules (last Sunday of March
-    loses an hour, last Sunday of October gains one).  Off by default:
-    shape weights move by well under 0.1% either way.
-    """
-
-    dst_aware: bool = False
-
-
-DEFAULT_CALENDAR = CalendarConfig()
-
-
 @dataclass(frozen=True, order=True)
 class Period:
     """Half-open delivery window ``[start, end)`` of a named granularity."""
@@ -151,30 +136,9 @@ def parse_period_label(label: str) -> Period:
     raise DataError(f"malformed period label: {label!r}")
 
 
-def _last_sunday(year: int, month: int) -> date:
-    ey, em = _add_months(year, month, 1)
-    d = date(ey, em, 1) - timedelta(days=1)
-    return d - timedelta(days=(d.weekday() + 1) % 7)
-
-
-def delivery_hours(period: Period, calendar: CalendarConfig = DEFAULT_CALENDAR) -> int:
-    """Number of delivery hours in a period.
-
-    By default each calendar day counts 24 hours; with ``dst_aware`` the EU
-    transition days count 23/25 (hour-granularity periods are left alone).
-    """
-    if period.end <= period.start:
-        raise DataError("invalid delivery window")
-    seconds = (period.end - period.start).total_seconds()
-    hours = int(round(seconds / 3600.0))
-    if calendar.dst_aware and period.kind != "hour":
-        d0, d1 = period.start.date(), period.end.date()
-        for year in range(d0.year, d1.year + 1):
-            if d0 <= _last_sunday(year, 3) < d1:
-                hours -= 1
-            if d0 <= _last_sunday(year, 10) < d1:
-                hours += 1
-    return hours
+def delivery_hours(period: Period) -> int:
+    """Number of delivery hours in a period: 24 per calendar day, no DST adjustment."""
+    return int(round((period.end - period.start).total_seconds() / 3600.0))
 
 
 def period_children(parent: Period, child_kind: str) -> list[Period]:

@@ -40,40 +40,31 @@ BISQUARE_K = 4.685
 
 @dataclass(frozen=True)
 class WeightFunctionSpec:
-    """Configuration of the case-downweighting function.
+    """Choice of the case-downweighting function: ``"hampel"`` or ``"bisquare"``.
 
-    ``kind`` selects the family; the remaining fields are the cutoffs in
-    standardized-distance units.
+    The cutoffs are the module constants ``HAMPEL_A/B/R`` and ``BISQUARE_K``.
     """
 
     kind: str = "hampel"
-    hampel_a: float = HAMPEL_A
-    hampel_b: float = HAMPEL_B
-    hampel_r: float = HAMPEL_R
-    bisquare_k: float = BISQUARE_K
 
     def __post_init__(self) -> None:
         if self.kind not in ("hampel", "bisquare"):
             raise ValueError(f"unknown weight function kind: {self.kind!r}")
-        if not 0.0 < self.hampel_a < self.hampel_b < self.hampel_r:
-            raise ValueError("hampel cutoffs must satisfy 0 < a < b < r")
-        if self.bisquare_k <= 0.0:
-            raise ValueError("bisquare_k must be positive")
 
     def weight(self, x):
         """Downweighting function value(s) for standardized distance ``x``."""
         if self.kind == "hampel":
-            return hampel_weight(x, self)
-        return bisquare_weight(x, self.bisquare_k)
+            return hampel_weight(x)
+        return bisquare_weight(x)
 
 
-def mad_scale(values, consistency: float = MAD_CONSISTENCY, axis: int | None = None):
+def mad_scale(values, axis: int | None = None):
     """Normal-consistent median absolute deviation; with ``axis``, one per slice along it."""
     v = np.asarray(values, dtype=float)
     if (v.size if axis is None else v.shape[axis]) < 2:
         raise ValueError("degenerate sample")
     deviations = np.abs(v - np.median(v, axis=axis, keepdims=True))
-    mad = consistency * np.median(deviations, axis=axis)
+    mad = MAD_CONSISTENCY * np.median(deviations, axis=axis)
     return float(mad) if axis is None else mad
 
 
@@ -168,19 +159,13 @@ def _first_column(y, rows, lo, hi, trial, strict: bool) -> np.ndarray:
     return a
 
 
-def hampel_weight(x, spec: WeightFunctionSpec | None = None):
+def hampel_weight(x):
     """Redescending three-part weight: 1, a/|x|, linear decay, then 0 beyond r."""
-    if spec is None:
-        spec = WeightFunctionSpec("hampel")
-    a, b, r = spec.hampel_a, spec.hampel_b, spec.hampel_r
     ax = np.abs(np.asarray(x, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hyperbolic = np.where(ax > 0, a / np.where(ax > 0, ax, 1.0), 1.0)
-    out = np.select(
-        [ax <= a, ax <= b, ax <= r],
-        [1.0, hyperbolic, (r - ax) / (r - b) * hyperbolic],
-        default=0.0,
-    )
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.minimum(1.0, HAMPEL_A / ax) * np.clip(
+            (HAMPEL_R - ax) / (HAMPEL_R - HAMPEL_B), 0.0, 1.0
+        )
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -198,12 +183,10 @@ def bisquare_loss(x, k: float = BISQUARE_K):
     return out
 
 
-def bisquare_weight(x, k: float = BISQUARE_K):
+def bisquare_weight(x):
     """Rescaled derivative of the bisquare loss: (1 - (x/k)^2)^2 inside, 0 outside."""
-    if k <= 0:
-        raise ValueError("bisquare_k must be positive")
-    xa = np.asarray(x, dtype=float)
-    out = np.where(np.abs(xa) <= k, (1.0 - (xa / k) ** 2) ** 2, 0.0)
+    u = np.minimum(np.abs(np.asarray(x, dtype=float)) / BISQUARE_K, 1.0)
+    out = (1.0 - u**2) ** 2
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

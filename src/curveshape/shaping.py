@@ -23,13 +23,7 @@ from .constraints import (
 )
 from .estimator import Dataset, FitConfig, FitResult, irls_fit
 from .exceptions import DataError
-from .periods import (
-    CalendarConfig,
-    DEFAULT_CALENDAR,
-    Period,
-    delivery_hours,
-    parse_period_label,
-)
+from .periods import Period, parse_period_label
 
 DAY_TYPES = ("WD", "SAT", "SUN")
 
@@ -203,8 +197,12 @@ def recalibrate_with_traded(
     return irls_fit(dataset, system, config, fixed=pins)
 
 
-def daytype_split(month: Period, calendar: CalendarConfig = DEFAULT_CALENDAR) -> GranularitySplit:
-    """Split a month into weekday / Saturday / Sunday blocks by hour share."""
+def daytype_split(month: Period) -> GranularitySplit:
+    """Split a month into weekday / Saturday / Sunday blocks by hour share.
+
+    Every day counts the same hours (``periods.delivery_hours``), so the
+    hour share of a day type is its share of the month's days.
+    """
     if month.kind != "month":
         raise DataError("day-type split needs a month parent")
     counts = {t: 0 for t in DAY_TYPES}
@@ -213,26 +211,25 @@ def daytype_split(month: Period, calendar: CalendarConfig = DEFAULT_CALENDAR) ->
         wd = day.weekday()
         counts["SAT" if wd == 5 else "SUN" if wd == 6 else "WD"] += 1
         day += timedelta(days=1)
-    hours = [counts[t] * 24 for t in DAY_TYPES]
-    total = delivery_hours(month, calendar)
+    days = np.array([counts[t] for t in DAY_TYPES], dtype=float)
     return GranularitySplit(
         parent_label=month.label,
         child_labels=tuple(f"{month.label}:{t}" for t in DAY_TYPES),
-        weights=np.array(hours, dtype=float) / float(total),
+        weights=days / days.sum(),
         parent=month,
     )
 
 
-def hour_split(parent_label: str, n_hours: int = 24) -> GranularitySplit:
-    """Uniform split of a (day-type) block into its hours of day."""
+def hour_split(parent_label: str) -> GranularitySplit:
+    """Uniform split of a (day-type) block into its 24 hours of day."""
     return GranularitySplit(
         parent_label=parent_label,
-        child_labels=tuple(f"{parent_label}:H{h:02d}" for h in range(n_hours)),
-        weights=np.full(n_hours, 1.0 / n_hours),
+        child_labels=tuple(f"{parent_label}:H{h:02d}" for h in range(24)),
+        weights=np.full(24, 1.0 / 24),
     )
 
 
-def cascade_from_config(config: dict, calendar: CalendarConfig = DEFAULT_CALENDAR) -> ShapingCascade:
+def cascade_from_config(config: dict) -> ShapingCascade:
     """Build a cascade from its declarative config.
 
     Schema: ``{"root": label, "levels": [{"name": str, "splits": [
@@ -247,10 +244,12 @@ def cascade_from_config(config: dict, calendar: CalendarConfig = DEFAULT_CALENDA
         raise DataError(f"cascade config needs 'root' and 'levels': {exc}") from exc
     names, maps = [], []
     for level_cfg in level_cfgs:
+        if not isinstance(level_cfg, dict):
+            raise DataError(f"cascade level {len(names)} must be an object")
         name = level_cfg.get("name", f"level-{len(names)}")
         level_map = {}
         for split_cfg in level_cfg.get("splits", []):
-            split = split_from_config(split_cfg, calendar)
+            split = split_from_config(split_cfg)
             coeffs = split_cfg.get("coefficients")
             if coeffs is None:
                 raise DataError(f"split {split.parent_label!r} has no coefficients")

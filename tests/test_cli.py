@@ -312,6 +312,31 @@ def test_missing_json_key_is_a_data_error(tmp_path, capsys, command, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload, with_coeffs",
+    [
+        ("check-arbitrage", {"coefficients": [1.0, 0.0]}, False),
+        ("check-arbitrage", [1, 2], False),
+        ("predict", {"root": "CAL-2014", "levels": [1]}, False),
+        ("predict", {"root": "CAL-2014", "levels": [1]}, True),
+    ],
+)
+def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, command, payload, with_coeffs):
+    split, report, bad = tmp_path / "split.json", tmp_path / "report.json", tmp_path / "bad.json"
+    split.write_text(json.dumps(SPLIT_CONFIG))
+    pairs = {f"{c}{j}": float(c == "A") for j in range(1, 5) for c in "AB"}
+    report.write_text(json.dumps({"coefficients": pairs}))
+    bad.write_text(json.dumps(payload))
+    argv = {
+        "check-arbitrage": ["--coeffs", str(bad), "--split", str(split)],
+        "predict": ["--cascade", str(bad), "--parent-price", "50", "--target", "quarter"],
+    }[command]
+    if with_coeffs:
+        argv += ["--coeffs", str(report)]
+    assert main([command, *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -82,6 +82,14 @@ class TestBuildConstraints:
         assert abs(gap[0]) <= 2.5e-3
         assert abs(gap[1]) == pytest.approx(0.00025, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 0.25, 0.25, 0.25], [np.inf, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]]
+    )
+    def test_weights_that_define_no_constraints(self, weights):
+        # irls_fit would return NaN coefficients on them instead of failing
+        with pytest.raises(DataError, match="constraint weights"):
+            constraints_for_weights(weights)
+
     def test_single_child_forces_identity(self):
         system = constraints_for_weights([1.0])
         gamma = np.linalg.solve(system.matrix, system.rhs)

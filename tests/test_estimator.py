@@ -347,14 +347,13 @@ class TestClassicalFit:
         assert result.iterations == 1
         np.testing.assert_array_equal(result.case_weights, 1.0)
 
-    def test_equals_irls_with_flat_weight_function(self, rng, equal_weight_system):
+    def test_equals_irls_with_flat_weight_function(self, rng, equal_weight_system, monkeypatch):
         # cutoffs far beyond any distance make the downweighting constant 1
+        for name, cutoff in (("HAMPEL_A", 1e9), ("HAMPEL_B", 2e9), ("HAMPEL_R", 3e9)):
+            monkeypatch.setattr(f"curveshape.robust.{name}", cutoff)
         gamma = arbitrage_free_gamma(rng, 4)
         ds = synthetic_dataset(rng, gamma, n=70, noise=0.5)
-        flat = WeightFunctionSpec("hampel", hampel_a=1e9, hampel_b=2e9, hampel_r=3e9)
-        robust = irls_fit(
-            ds, equal_weight_system, FitConfig(weight_spec=flat, feasibility_retry=False)
-        )
+        robust = irls_fit(ds, equal_weight_system, FitConfig(feasibility_retry=False))
         classical = classical_fit(ds, equal_weight_system)
         np.testing.assert_allclose(robust.gamma, classical.gamma, atol=1e-9)
         np.testing.assert_array_equal(robust.case_weights, 1.0)

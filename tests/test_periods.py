@@ -6,7 +6,6 @@ import pytest
 
 from curveshape.exceptions import DataError
 from curveshape.periods import (
-    CalendarConfig,
     delivery_hours,
     parse_contract,
     parse_period_label,
@@ -105,13 +104,6 @@ class TestDeliveryHours:
 
     def test_leap_quarter(self):
         assert delivery_hours(quarter_period(2016, 1)) == 91 * 24
-
-    def test_dst_aware(self):
-        dst = CalendarConfig(dst_aware=True)
-        # spring transition in Q1..Q2 boundary: last Sunday of March 2014 is 03-30
-        assert delivery_hours(quarter_period(2014, 1), dst) == 90 * 24 - 1
-        assert delivery_hours(quarter_period(2014, 4), dst) == 92 * 24 + 1
-        assert delivery_hours(year_period(2014), dst) == 365 * 24
 
     def test_hour(self):
         p = parse_period_label("H-2012-05-04-13")

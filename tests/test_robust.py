@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveshape.robust import (
+    BISQUARE_K,
+    HAMPEL_A,
+    HAMPEL_B,
+    HAMPEL_R,
     WeightFunctionSpec,
     bisquare_loss,
     bisquare_weight,
@@ -173,8 +177,7 @@ class TestHampelWeight:
         assert hampel_weight(3.0) == 0.0
 
     def test_continuity_at_cutoffs(self):
-        spec = WeightFunctionSpec("hampel")
-        for c in (spec.hampel_a, spec.hampel_b, spec.hampel_r):
+        for c in (HAMPEL_A, HAMPEL_B, HAMPEL_R):
             below = hampel_weight(c - 1e-9)
             above = hampel_weight(c + 1e-9)
             assert abs(below - above) < 1e-6
@@ -185,10 +188,52 @@ class TestHampelWeight:
         assert np.all((0.0 <= w) & (w <= 1.0))
         np.testing.assert_allclose(w, hampel_weight(-x), atol=1e-15)
 
-    def test_custom_spec(self):
-        spec = WeightFunctionSpec("hampel", hampel_a=1.0, hampel_b=2.0, hampel_r=4.0)
-        assert hampel_weight(1.5, spec) == pytest.approx(1.0 / 1.5)
-        assert hampel_weight(3.0, spec) == pytest.approx((4 - 3) / (4 - 2) * (1 / 3))
+
+def hampel_weight_select(x):
+    """Reference: the three-branch ``np.select`` form of the Hampel weight."""
+    a, b, r = HAMPEL_A, HAMPEL_B, HAMPEL_R
+    ax = np.abs(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        hyperbolic = np.where(ax > 0, a / np.where(ax > 0, ax, 1.0), 1.0)
+        return np.select(
+            [ax <= a, ax <= b, ax <= r],
+            [1.0, hyperbolic, (r - ax) / (r - b) * hyperbolic],
+            default=0.0,
+        )
+
+
+def bisquare_weight_where(x):
+    """Reference: the ``np.where`` form of the bisquare weight."""
+    xa = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.where(np.abs(xa) <= BISQUARE_K, (1.0 - (xa / BISQUARE_K) ** 2) ** 2, 0.0)
+
+
+def _edges(*cutoffs):
+    points = [0.0, np.inf]
+    for c in cutoffs:
+        points += [c, np.nextafter(c, 0.0), np.nextafter(c, np.inf)]
+    return np.array(points + [-p for p in points])
+
+
+class TestSelectFreeWeights:
+    """The clipped forms equal the branch-selecting references exactly."""
+
+    CASES = [
+        (hampel_weight, hampel_weight_select, (HAMPEL_A, HAMPEL_B, HAMPEL_R)),
+        (bisquare_weight, bisquare_weight_where, (BISQUARE_K,)),
+    ]
+
+    @pytest.mark.parametrize("weight,reference,cutoffs", CASES)
+    def test_cutoffs_and_their_neighbours(self, weight, reference, cutoffs):
+        x = _edges(*cutoffs)
+        np.testing.assert_array_equal(weight(x), reference(x))
+        assert [weight(float(v)) for v in x] == list(reference(x))
+
+    @pytest.mark.parametrize("weight,reference,cutoffs", CASES)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_floats(self, weight, reference, cutoffs, x):
+        assert weight(x) == reference(x)
 
 
 class TestBisquare:
@@ -213,35 +258,29 @@ class TestBisquare:
         np.testing.assert_allclose(bisquare_loss(-x, k), losses, atol=1e-15)
 
     def test_weight_boundaries(self):
-        assert bisquare_weight(0.0, 2.0) == 1.0
-        assert bisquare_weight(2.0, 2.0) == 0.0
-        assert bisquare_weight(2.5, 2.0) == 0.0
+        assert bisquare_weight(0.0) == 1.0
+        assert bisquare_weight(BISQUARE_K) == 0.0
+        assert bisquare_weight(5.0) == 0.0
 
     def test_weight_is_rescaled_loss_derivative(self):
         # psi = d/dx loss, weight = psi / x, checked by central differences
-        k = 4.685
+        k = BISQUARE_K
         h = 1e-6
         for x in np.linspace(0.2, k - 0.2, 25):
             psi = (bisquare_loss(x + h, k) - bisquare_loss(x - h, k)) / (2 * h)
-            assert x * bisquare_weight(x, k) == pytest.approx(psi, rel=1e-6)
+            assert x * bisquare_weight(x) == pytest.approx(psi, rel=1e-6)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
             bisquare_loss(1.0, 0.0)
-        with pytest.raises(ValueError):
-            bisquare_weight(1.0, -1.0)
 
 
 class TestWeightFunctionSpec:
     def test_invalid_cutoffs(self):
-        with pytest.raises(ValueError):
-            WeightFunctionSpec("hampel", hampel_a=2.0, hampel_b=1.0)
-        with pytest.raises(ValueError):
-            WeightFunctionSpec("bisquare", bisquare_k=0.0)
         with pytest.raises(ValueError):
             WeightFunctionSpec("huber")
 
     def test_dispatch(self):
         assert WeightFunctionSpec("hampel").weight(0.0) == 1.0
         assert WeightFunctionSpec("bisquare").weight(0.0) == 1.0
-        assert WeightFunctionSpec("bisquare", bisquare_k=2.0).weight(3.0) == 0.0
+        assert WeightFunctionSpec("bisquare").weight(5.0) == 0.0
