@@ -161,9 +161,11 @@ def _cmd_predict(args) -> int:
         coeff_report = _read_json(args.coeffs)
         gamma = gamma_from_report(coeff_report)
         pairs = [[float(gamma[2 * j]), float(gamma[2 * j + 1])] for j in range(gamma.size // 2)]
-        # Levels and splits that are not objects are left for cascade_from_config to reject.
-        for level_cfg in config.get("levels", []):
-            for split_cfg in level_cfg.get("splits", []) if isinstance(level_cfg, dict) else ():
+        # Levels and splits of the wrong type are left for cascade_from_config to reject.
+        levels = config.get("levels")
+        for level_cfg in levels if isinstance(levels, list) else ():
+            splits = level_cfg.get("splits") if isinstance(level_cfg, dict) else None
+            for split_cfg in splits if isinstance(splits, list) else ():
                 if isinstance(split_cfg, dict) and split_cfg.get("coefficients") is None:
                     if len(split_cfg.get("children", ())) != len(pairs):
                         raise DataError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraints import ConstraintSystem, arbitrage_gap
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
-from .robust import WeightFunctionSpec, mad_scale, qn_scale
+from .robust import MAD_CONSISTENCY, WeightFunctionSpec, _median, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
@@ -167,11 +167,13 @@ def _initial_weights(
     y distance is the row norm of the column-median-centered responses over
     the median such norm.  Both pass through the downweighting function and
     combine as a geometric mean.  The x weights stay fixed for the whole fit.
+    A degenerate scale warns at the line that called ``irls_fit``.
     """
     x, y = dataset.x, dataset.y
-    row_norms = np.linalg.norm(y - np.median(y, axis=0), axis=1)
-    den_y = float(np.median(row_norms))
-    den_x = mad_scale(x)
+    row_norms = np.linalg.norm(y - _median(y), axis=1)
+    den_y = float(_median(row_norms))
+    dev_x = np.abs(x - _median(x))
+    den_x = float(MAD_CONSISTENCY * _median(dev_x))
     degenerate = False
     if den_y <= 0.0:
         den_y = _SCALE_FLOOR
@@ -185,8 +187,10 @@ def _initial_weights(
             DegenerateScaleWarning,
             stacklevel=3,
         )
-    w_x = spec.weight(np.abs(x - np.median(x)) / den_x)
-    return np.sqrt(w_x * spec.weight(row_norms / den_y)), w_x, degenerate
+    with np.errstate(over="ignore"):  # over a floored scale, an outlying case goes to inf: weight 0
+        w_x = spec.weight(dev_x / den_x)
+        w_y = spec.weight(row_norms / den_y)
+    return np.sqrt(w_x * w_y), w_x, degenerate
 
 
 def _residual_distances(
@@ -196,26 +200,27 @@ def _residual_distances(
 
     Each column is median-centered and divided by its consistency-scaled
     MAD (or Qn); the K standardized entries combine as the Euclidean norm
-    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.
+    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.  Each
+    column median is taken once: the MAD is ``mad_scale(r, axis=0)``'s own
+    arithmetic on the centered columns.  A degenerate scale warns at the
+    line that called ``irls_fit``.
     """
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 2:
         raise DataError("residuals must be (N, K)")
-    centered = r - np.median(r, axis=0)
+    centered = r - _median(r)
     if scale_estimator == "qn":
         scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
     else:
-        scales = mad_scale(r, axis=0)
+        scales = MAD_CONSISTENCY * _median(np.abs(centered))
     degenerate = bool(np.any(scales <= 0.0))
     if degenerate:
         warnings.warn(
             "degenerate residual scale in some column; standardized values set to 0",
             DegenerateScaleWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    z = np.zeros_like(centered)
-    ok = scales > 0.0
-    z[:, ok] = centered[:, ok] / scales[ok]
+    z = np.divide(centered, scales, out=np.zeros_like(centered), where=scales > 0.0)
     d = np.linalg.norm(z, axis=1) / np.sqrt(r.shape[1])
     return d, scales, degenerate
 
@@ -335,9 +340,11 @@ def _fit_loop(
     config: FitConfig,
     alpha: float,
     fixed: dict[int, tuple[float, float]] | None,
+    start: tuple[np.ndarray, np.ndarray, bool],
 ) -> FitResult:
+    """IRLS from ``start``, the starting weights, x weights and degenerate flag."""
     spec = config.weight_spec
-    weights, w_x, degen = _initial_weights(dataset, spec)
+    weights, w_x, degen = start
     intercepts_prev = None
     converged = False
     for iterations in range(1, config.max_iterations + 1):
@@ -378,9 +385,10 @@ def irls_fit(
     """
     config = config or FitConfig()
     alpha = _resolve_alpha(config, dataset)
-    result = _fit_loop(dataset, system, config, alpha, fixed)
+    start = _initial_weights(dataset, config.weight_spec)
+    result = _fit_loop(dataset, system, config, alpha, fixed, start)
     if config.feasibility_retry and result.arbitrage_gap_maxabs > FEASIBILITY_TOLERANCE:
-        result = _fit_loop(dataset, system, config, np.inf, fixed)
+        result = _fit_loop(dataset, system, config, np.inf, fixed, start)
     return result
 
 

@@ -9,6 +9,7 @@ row's quote date and stored absolutely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from .estimator import Dataset
 from .exceptions import DataError
-from .periods import Period, parse_contract, period_children, resolve_relative
+from .periods import ContractCode, Period, parse_contract, period_children, resolve_relative
 
 CSV_HEADER = "quote_date,contract,price"
 
@@ -75,7 +76,11 @@ class QuoteTable:
 
 
 def load_quotes(source) -> QuoteTable:
-    """Parse a quote CSV from a path, string, or open text stream."""
+    """Parse a quote CSV from a path, string, or open text stream.
+
+    Each distinct contract code is parsed once per call; relative codes are
+    still resolved against each row's own quote date.
+    """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         path = Path(source)
         if not path.exists():
@@ -89,6 +94,7 @@ def load_quotes(source) -> QuoteTable:
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
     quotes: list[Quote] = []
+    codes: dict[str, ContractCode] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -104,10 +110,12 @@ def load_quotes(source) -> QuoteTable:
             price = float(raw_price)
         except ValueError as exc:
             raise DataError(f"line {lineno}: bad price {raw_price!r}") from exc
-        if not np.isfinite(price):
+        if not math.isfinite(price):
             raise DataError(f"line {lineno}: non-finite price")
         try:
-            code = parse_contract(raw_contract)
+            code = codes.get(raw_contract)
+            if code is None:
+                code = codes[raw_contract] = parse_contract(raw_contract)
             period = resolve_relative(code, quote_date)
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
@@ -157,11 +165,14 @@ def build_regression_dataset(
     ys: list[list[float]] = []
     ids: list[str] = []
     missing: list[tuple[str, str, list[str]]] = []
+    child_labels: dict[Period, list[str]] = {}
     for quote_date, parent in rows:
-        children = period_children(parent, child_kind)
-        child_quotes = [table.lookup(quote_date, c.label) for c in children]
+        labels = child_labels.get(parent)
+        if labels is None:
+            labels = child_labels[parent] = [c.label for c in period_children(parent, child_kind)]
+        child_quotes = [table.lookup(quote_date, label) for label in labels]
         if any(q is None for q in child_quotes):
-            absent = [c.label for c, q in zip(children, child_quotes) if q is None]
+            absent = [label for label, q in zip(labels, child_quotes) if q is None]
             missing.append((quote_date.isoformat(), parent.label, absent))
             continue
         parent_quote = table.lookup(quote_date, parent.label)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from functools import cached_property
 
 from .exceptions import DataError
 
@@ -35,8 +36,10 @@ class Period:
         if self.end <= self.start:
             raise DataError("invalid delivery window")
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """Absolute label, computed once per period; equality, hashing and
+        ordering still compare ``start`` and ``end`` only."""
         s = self.start
         if self.kind == "year":
             return f"CAL-{s.year}"

@@ -58,13 +58,37 @@ class WeightFunctionSpec:
         return bisquare_weight(x)
 
 
+def _median(v: np.ndarray):
+    """Median along axis 0 of a non-empty float array, as ``np.median`` computes it.
+
+    Partitions at the middle rank(s) and at the last one, and halves the sum
+    of the two middle values for even n: numpy's arithmetic without the
+    cost of its wrapper.  The floats are numpy's, except that a zero median
+    may carry the other sign.  NaN sorts last, so a slice holding one has a
+    NaN median, as in numpy.
+    """
+    n = v.shape[0]
+    half = n // 2
+    if n % 2:
+        part = np.partition(v, (half, n - 1), axis=0)
+        mid = part[half]
+    else:
+        part = np.partition(v, (half - 1, half, n - 1), axis=0)
+        mid = (part[half - 1] + part[half]) / 2
+    last = part[-1]
+    if last.ndim == 0:
+        return last if last != last else mid
+    nan = np.isnan(last)
+    return np.where(nan, last, mid) if nan.any() else mid
+
+
 def mad_scale(values, axis: int | None = None):
     """Normal-consistent median absolute deviation; with ``axis``, one per slice along it."""
     v = np.asarray(values, dtype=float)
-    if (v.size if axis is None else v.shape[axis]) < 2:
+    v = v.ravel() if axis is None else np.moveaxis(v, axis, 0)
+    if v.shape[0] < 2:
         raise ValueError("degenerate sample")
-    deviations = np.abs(v - np.median(v, axis=axis, keepdims=True))
-    mad = MAD_CONSISTENCY * np.median(deviations, axis=axis)
+    mad = MAD_CONSISTENCY * _median(np.abs(v - _median(v)))
     return float(mad) if axis is None else mad
 
 

@@ -41,13 +41,15 @@ class ShapingLevel:
         if coeffs.ndim != 2 or coeffs.shape != (self.split.n_children, 2):
             raise DataError("coefficients must be (K, 2) pairs (A_k, B_k)")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_system", constraints_for_weights(self.split.weights))
 
     @property
     def gamma(self) -> np.ndarray:
         return self.coefficients.reshape(-1)
 
     def system(self) -> ConstraintSystem:
-        return constraints_for_weights(self.split.weights)
+        """The split's constraint system, built once; the gap is checked on every apply."""
+        return self._system
 
     def gap(self) -> np.ndarray:
         return arbitrage_gap(self.system(), self.gamma)
@@ -242,13 +244,18 @@ def cascade_from_config(config: dict) -> ShapingCascade:
         level_cfgs = config["levels"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"cascade config needs 'root' and 'levels': {exc}") from exc
+    if not isinstance(level_cfgs, list):
+        raise DataError("cascade config 'levels' must be a list")
     names, maps = [], []
     for level_cfg in level_cfgs:
         if not isinstance(level_cfg, dict):
             raise DataError(f"cascade level {len(names)} must be an object")
         name = level_cfg.get("name", f"level-{len(names)}")
+        split_cfgs = level_cfg.get("splits", [])
+        if not isinstance(split_cfgs, list):
+            raise DataError(f"cascade level {len(names)} 'splits' must be a list")
         level_map = {}
-        for split_cfg in level_cfg.get("splits", []):
+        for split_cfg in split_cfgs:
             split = split_from_config(split_cfg)
             coeffs = split_cfg.get("coefficients")
             if coeffs is None:

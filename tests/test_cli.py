@@ -319,6 +319,10 @@ def test_missing_json_key_is_a_data_error(tmp_path, capsys, command, key):
         ("check-arbitrage", [1, 2], False),
         ("predict", {"root": "CAL-2014", "levels": [1]}, False),
         ("predict", {"root": "CAL-2014", "levels": [1]}, True),
+        ("predict", {"root": "CAL-2014", "levels": 5}, False),
+        ("predict", {"root": "CAL-2014", "levels": 5}, True),
+        ("predict", {"root": "CAL-2014", "levels": [{"splits": 3}]}, False),
+        ("predict", {"root": "CAL-2014", "levels": [{"splits": 3}]}, True),
     ],
 )
 def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, command, payload, with_coeffs):

@@ -106,6 +106,40 @@ class TestResidualDistances:
             d = residual_distances(r)
         assert np.all(np.isfinite(d))
 
+    @pytest.mark.parametrize("n", [30, 31])
+    def test_folded_mad_equals_mad_scale(self, n, rng):
+        # one median per column; for even N the MAD must not re-round
+        r = 50.0 + rng.standard_normal((n, 4)) * rng.uniform(0.1, 10.0, 4)
+        _, scales, degenerate = _residual_distances(r, "mad")
+        np.testing.assert_array_equal(scales, mad_scale(r, axis=0))
+        assert not degenerate
+
+
+class TestDegenerateScaleWarnings:
+    """Degenerate scales warn at the line that called ``irls_fit``."""
+
+    @staticmethod
+    def degenerate_start():
+        # 6 of 9 response rows equal the column medians, so the y scale of the
+        # starting weights is 0; the penalized pass misses the tolerance.
+        y = np.tile([4.0, 5.0, 6.0, 5.0], (9, 1))
+        y[6:] = [[9.0, 8.0, 7.0, 6.0], [6.0, 9.0, 8.0, 7.0], [7.0, 6.0, 9.0, 8.0]]
+        return Dataset(x=np.arange(1.0, 10.0), y=y)
+
+    def test_names_the_caller_and_the_start_warns_once(self, equal_weight_system):
+        with pytest.warns(DegenerateScaleWarning) as record:
+            result = irls_fit(self.degenerate_start(), equal_weight_system)
+        assert np.isinf(result.alpha_used)  # the exact-limit retry ran
+        degenerate = [w for w in record if w.category is DegenerateScaleWarning]
+        assert [w.filename for w in degenerate] == [__file__]
+        assert "initial" in str(degenerate[0].message)
+
+    def test_residual_scale_names_the_caller(self, rng, equal_weight_system):
+        ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=40, noise=0.0)
+        with pytest.warns(DegenerateScaleWarning, match="residual") as record:
+            irls_fit(ds, equal_weight_system)
+        assert {w.filename for w in record if w.category is DegenerateScaleWarning} == {__file__}
+
 
 class TestPenalizedSolve:
     def test_alpha_zero_is_columnwise_ols(self, rng, equal_weight_system):

@@ -5,6 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+import curveshape.market
 from curveshape import build_regression_dataset, load_quotes
 from curveshape.exceptions import DataError
 
@@ -70,6 +71,38 @@ class TestLoadQuotes:
         csv = "quote_date,contract,price\n2014-05-03,CAL-2014,41.0\n"
         with pytest.raises(DataError, match="starts before"):
             load_quotes(csv)
+
+    def test_relative_code_resolves_per_row(self):
+        csv = "quote_date,contract,price\n2013-03-29,Q+1,40.0\n2013-04-01,Q+1,41.0\n"
+        assert [q.period.label for q in load_quotes(csv).quotes] == ["Q2-2013", "Q3-2013"]
+
+    def test_started_delivery_names_the_later_row(self):
+        csv = (
+            "quote_date,contract,price\n"
+            "2013-03-01,Q2-2013,40.0\n"
+            "2013-03-02,CAL-2014,50.0\n"
+            "2013-04-02,Q2-2013,41.0\n"  # the same label, quoted after delivery starts
+        )
+        with pytest.raises(DataError, match="line 4: delivery window of Q2-2013 starts before"):
+            load_quotes(csv)
+
+    def test_each_distinct_contract_is_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(code):
+            calls.append(code)
+            return parse(code)
+
+        parse = curveshape.market.parse_contract
+        monkeypatch.setattr(curveshape.market, "parse_contract", counting)
+        rows = [
+            f"2013-0{m}-01,{c},{50.0 + m}"
+            for m in (1, 2, 3)
+            for c in ("CAL-2014", "Q1-2014", "Q2-2014", "Q3-2014", "Q4-2014")
+        ]
+        table = load_quotes("quote_date,contract,price\n" + "\n".join(rows) + "\n")
+        assert len(table) == 15
+        assert sorted(calls) == ["CAL-2014", "Q1-2014", "Q2-2014", "Q3-2014", "Q4-2014"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):

@@ -94,6 +94,15 @@ class TestLabels:
             parse_period_label("W-2012-05-08")
 
 
+    def test_label_is_cached_outside_equality_hash_and_order(self):
+        q2, q2_again, q3 = quarter_period(2014, 2), quarter_period(2014, 2), quarter_period(2014, 3)
+        before = (repr(q2), hash(q2), q2 == q2_again, q2 < q3, sorted([q3, q2]))
+        assert q2.label == "Q2-2014"
+        assert q2.label is q2.label  # computed once
+        assert (repr(q2), hash(q2), q2 == q2_again, q2 < q3, sorted([q3, q2])) == before
+        assert {q2: 1}[q2_again] == 1
+
+
 class TestDeliveryHours:
     def test_quarter(self):
         assert delivery_hours(quarter_period(2014, 1)) == 90 * 24

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curveshape.robust import (
     BISQUARE_K,
@@ -12,6 +13,7 @@ from curveshape.robust import (
     HAMPEL_B,
     HAMPEL_R,
     WeightFunctionSpec,
+    _median,
     bisquare_loss,
     bisquare_weight,
     hampel_weight,
@@ -84,6 +86,34 @@ class TestMadScale:
             assert columns.shape == (5,)
             np.testing.assert_array_equal(columns, [mad_scale(m[:, k]) for k in range(5)])
             np.testing.assert_array_equal(mad_scale(m.T, axis=1), columns)
+
+
+# Ties, signed zeros, values whose pair sums stay finite and a subnormal.
+MEDIAN_POOL = np.array([0.0, -0.0, 1.0, 1.0, -1.0, 2.5, 1e300, -1e300, 5e-324, -3.75])
+
+
+class TestMedianKernel:
+    """The partition kernel equals ``np.median`` by ``==``: a zero median may
+    differ in sign only, and every use subtracts it before ``|.|`` or a norm."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_numpy_1d_and_along_axis_0(self, n, rng):
+        pooled = (rng.choice(MEDIAN_POOL, n), rng.choice(MEDIAN_POOL, (n, 6)))
+        for v in (*pooled, rng.standard_normal((n, 3))):
+            np.testing.assert_array_equal(_median(v), np.median(v, axis=0))
+
+    @given(arrays(np.float64, st.integers(1, 60),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_matches_numpy_on_any_finite_floats(self, v):
+        m = np.column_stack([v, v[::-1]])
+        with np.errstate(over="ignore"):  # two middle values may sum past the largest float
+            assert _median(v) == np.median(v)
+            np.testing.assert_array_equal(_median(m), np.median(m, axis=0))
+
+    def test_nan_gives_nan_like_numpy(self):
+        m = np.array([[1.0, 2.0], [np.nan, 3.0], [0.5, 4.0], [2.0, 5.0]])
+        np.testing.assert_array_equal(_median(m), np.median(m, axis=0))
+        assert np.isnan(_median(m[:, 0])) and np.isnan(mad_scale(m[:, 0]))
 
 
 class TestQnScale:

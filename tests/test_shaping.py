@@ -87,6 +87,14 @@ class TestApplyLevel:
             apply_level(50.0, level)
         np.testing.assert_allclose(apply_level(50.0, level, override=True), [60.0, 60.0])
 
+    def test_system_is_built_once_but_the_gap_is_checked_on_every_apply(self):
+        level = make_level("P", ["a", "b"], [0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
+        assert level.system() is level.system()
+        np.testing.assert_allclose(apply_level(50.0, level), [50.0, 50.0])
+        level.coefficients[0, 0] = 1.2  # the array stays mutable
+        with pytest.raises(DataError, match="non-arbitrage"):
+            apply_level(50.0, level)
+
 
 class TestCascade:
     def build_two_level(self, rng):
