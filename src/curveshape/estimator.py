@@ -65,10 +65,12 @@ class FitConfig:
 
     ``alpha_multiplier`` scales the constraint penalty alpha = c * N * s(Y)
     with s the pooled response scale; it is a real c >= 0 (``inf`` allowed)
-    or the string ``"auto"``, which means c = 1.  ``scale_estimator`` picks
-    the column-residual standardization scale.  With ``feasibility_retry``
-    a fit whose arbitrage gap exceeds ``FEASIBILITY_TOLERANCE`` is re-run
-    once at the exact equality-constrained limit (alpha = inf).
+    or the string ``"auto"``, which means c = 1.  A zero s(Y) with c > 0
+    gives the exact equality-constrained limit (alpha = inf).
+    ``scale_estimator`` picks the column-residual standardization scale.
+    With ``feasibility_retry`` a fit whose arbitrage gap exceeds
+    ``FEASIBILITY_TOLERANCE``, or is NaN, is re-run once at the exact
+    equality-constrained limit (alpha = inf).
     """
 
     weight_spec: WeightFunctionSpec = field(default_factory=WeightFunctionSpec)
@@ -300,10 +302,11 @@ def penalized_wls_solve(
 
 
 def _resolve_alpha(config: FitConfig, dataset: Dataset) -> float:
+    """alpha = c * N * Qn(Y); a zero pooled scale gives the exact limit unless c = 0."""
     multiplier = 1.0 if config.alpha_multiplier == "auto" else float(config.alpha_multiplier)
     pooled = qn_scale(dataset.y.ravel())
     if pooled <= 0.0:
-        pooled = _SCALE_FLOOR
+        return np.inf if multiplier > 0.0 else 0.0
     return multiplier * dataset.n_cases * pooled
 
 
@@ -378,16 +381,16 @@ def irls_fit(
     weighted solve with residual-distance reweighting until the intercepts
     stabilize, and re-runs once at the exact equality-constrained limit
     (``alpha_used`` = inf) if the fitted coefficients still violate the
-    equalities beyond the feasibility tolerance.  ``fixed`` maps child
-    index -> (A, B) pinned through every solve; a full pinning that breaks
-    the equalities raises ``DataError``.  Non-convergence is flagged on
-    the result, not raised.
+    equalities beyond the feasibility tolerance or give a NaN gap.
+    ``fixed`` maps child index -> (A, B) pinned through every solve; a full
+    pinning that breaks the equalities raises ``DataError``.
+    Non-convergence is flagged on the result, not raised.
     """
     config = config or FitConfig()
     alpha = _resolve_alpha(config, dataset)
     start = _initial_weights(dataset, config.weight_spec)
     result = _fit_loop(dataset, system, config, alpha, fixed, start)
-    if config.feasibility_retry and result.arbitrage_gap_maxabs > FEASIBILITY_TOLERANCE:
+    if config.feasibility_retry and not result.arbitrage_gap_maxabs <= FEASIBILITY_TOLERANCE:
         result = _fit_loop(dataset, system, config, np.inf, fixed, start)
     return result
 

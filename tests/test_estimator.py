@@ -34,6 +34,14 @@ def residual_distances(residuals):
     return _residual_distances(residuals, "mad")[0]
 
 
+def zero_qn_dataset():
+    """x = 1..9 with 6 of the 9 response rows at 5.0 in every column: the pooled Qn is 0."""
+    x = np.arange(1.0, 10.0)
+    y = np.tile(x[:, None], (1, 4))
+    y[:6] = 5.0
+    return Dataset(x=x, y=y)
+
+
 def ols_slope_intercept(x, y):
     slope = np.cov(x, y, bias=True)[0, 1] / np.var(x)
     return slope, np.mean(y) - slope * np.mean(x)
@@ -343,6 +351,16 @@ class TestIrlsFit:
         assert retried.arbitrage_gap_maxabs <= FEASIBILITY_TOLERANCE
         assert retried.to_report()["diagnostics"]["alpha_used"] is None
 
+    def test_zero_pooled_scale_fits_at_the_exact_limit(self, equal_weight_system):
+        # identical children leave the exact limit one feasible pair each: (1, 0)
+        with pytest.warns(DegenerateScaleWarning) as record:
+            result = irls_fit(zero_qn_dataset(), equal_weight_system)
+        np.testing.assert_array_equal(result.gamma, np.tile([1.0, 0.0], 4))
+        assert result.alpha_used == np.inf
+        assert result.arbitrage_gap_maxabs == 0.0
+        assert result.converged
+        assert [w.category for w in record] == [DegenerateScaleWarning]
+
     def test_non_convergence_flag(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
         ds = synthetic_dataset(rng, gamma, n=100, noise=0.8)
@@ -380,6 +398,13 @@ class TestClassicalFit:
             assert result.gamma[2 * k + 1] == pytest.approx(intercept, abs=1e-8)
         assert result.iterations == 1
         np.testing.assert_array_equal(result.case_weights, 1.0)
+
+    def test_zero_pooled_scale_is_the_exact_limit(self, equal_weight_system):
+        result = classical_fit(zero_qn_dataset(), equal_weight_system)
+        np.testing.assert_array_equal(result.gamma, np.tile([1.0, 0.0], 4))
+        assert result.alpha_used == np.inf
+        assert result.arbitrage_gap_maxabs == 0.0
+        assert classical_fit(zero_qn_dataset(), equal_weight_system, alpha=0.0).alpha_used == 0.0
 
     def test_equals_irls_with_flat_weight_function(self, rng, equal_weight_system, monkeypatch):
         # cutoffs far beyond any distance make the downweighting constant 1

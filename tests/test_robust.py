@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from curveshape import robust
 from curveshape.robust import (
     BISQUARE_K,
     HAMPEL_A,
     HAMPEL_B,
     HAMPEL_R,
     WeightFunctionSpec,
+    _bracketed_windows,
+    _first_column,
     _median,
     bisquare_loss,
     bisquare_weight,
@@ -50,6 +53,11 @@ def qn_partition_oracle(values):
     h = n // 2 + 1
     k = h * (h - 1) // 2
     return qn_factor(n) * np.partition(np.abs(v[i] - v[j]), k - 1)[k - 1]
+
+
+def tick_sample(n, seed=6):
+    """Desk-level prices on a 0.01 grid."""
+    return np.round(50.0 + 5.0 * np.random.default_rng(seed).standard_normal(n), 2)
 
 
 class TestMadScale:
@@ -183,7 +191,7 @@ class TestQnScale:
             assert qn_scale(values) == qn_partition_oracle(values)
 
     def test_memory_is_linear(self):
-        values = np.round(50.0 + 5.0 * np.random.default_rng(6).standard_normal(6000), 2)
+        values = tick_sample(6000)
         tracemalloc.start()
         try:
             qn_scale(values)
@@ -191,6 +199,121 @@ class TestQnScale:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # all 17,997,000 pairs as float64 alone take 137 MB
+
+
+def first_column_scan(y, rows, lo, hi, trial, strict):
+    """Reference: per row, a linear scan of the window for the first difference not below
+    (``strict``) or not at most ``trial``."""
+    out = hi.copy()
+    for t, (i, a, b) in enumerate(zip(rows, lo, hi)):
+        diffs = y[a:b] - y[i]
+        past = np.flatnonzero(diffs >= trial if strict else diffs > trial)
+        if past.size:
+            out[t] = a + past[0]
+    return out
+
+
+class TestFirstColumn:
+    """The checked ``searchsorted`` counts equal a linear scan of each row."""
+
+    FAMILIES = {
+        "grid": lambda rng, n: np.round(50.0 + 5.0 * rng.standard_normal(n), 1),
+        "magnitudes": lambda rng, n: rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n),
+        "ties": lambda rng, n: rng.integers(0, 6, n).astype(float),
+        "extremes": lambda rng, n: rng.choice([-1e308, -3e307, -1.0, 0.0, 1e-300, 2.5, 1e308], n),
+    }
+
+    def check(self, family, rng):
+        n = 120
+        y = np.sort(self.FAMILIES[family](rng, n))
+        rows = np.arange(n - 1)
+        lo = rows + 1 + (rng.integers(0, n, n - 1) % (n - rows))
+        hi = lo + (rng.integers(0, n, n - 1) % (n - lo + 1))
+        for a, b in rng.integers(0, n, (8, 2)):
+            diff = y[max(a, b)] - y[min(a, b)]
+            for trial in (diff, np.nextafter(diff, -np.inf), np.nextafter(diff, np.inf)):
+                for strict in (True, False):
+                    np.testing.assert_array_equal(
+                        _first_column(y, rows, lo, hi, trial, strict),
+                        first_column_scan(y, rows, lo, hi, trial, strict),
+                    )
+
+    @pytest.mark.parametrize("family", ["magnitudes", "ties"])
+    def test_matches_linear_scan(self, family, rng):
+        for _ in range(10):
+            self.check(family, rng)
+
+    def test_extremes_match_linear_scan(self, rng):
+        with np.errstate(over="ignore"):  # differences of +-1e308 overflow to inf
+            for _ in range(10):
+                self.check("extremes", rng)
+
+    def test_rejected_guesses_are_bisected(self, rng, monkeypatch):
+        # on a 0.1 grid, y[i] + trial rounds across ties often enough to misplace guesses
+        bisected = []
+        bisect = robust._bisect_columns
+
+        def spy(y, rows, *args):
+            bisected.append(rows.size)
+            return bisect(y, rows, *args)
+
+        monkeypatch.setattr(robust, "_bisect_columns", spy)
+        for _ in range(10):
+            self.check("grid", rng)
+        assert sum(bisected) > 0
+
+
+class TestSubsampleBracket:
+    """Each bracket branch, and the Qn it leads to, equal to the partition oracle."""
+
+    CASES = [
+        # n = 9: C(9, 2) = 36 = 4n pairs go straight to the gather, no bracket
+        ("none", np.arange(9.0)),
+        ("hit", np.arange(10.0)),
+        # a high trial tied with the k-th value counts below rank k
+        ("low", np.array([0.0, 0, 0, 1, 1, 1, 2, 2, 2, 2])),
+        # a low trial tied with the k-th value counts at or above rank k
+        ("high", np.r_[np.zeros(5), np.ones(5)]),
+        ("hit", np.random.default_rng(3).standard_normal(1000)),
+        ("low", np.arange(1000.0) // 250),
+        ("high", np.arange(1000.0) // 40),
+    ]
+
+    @pytest.mark.parametrize("branch,values", CASES)
+    def test_branch_and_result(self, branch, values):
+        y = np.sort(values)
+        n = y.size
+        h = n // 2 + 1
+        rows, lo, hi, below = _bracketed_windows(y, h * (h - 1) // 2)
+        cut_low = not np.array_equal(lo, rows + 1)
+        cut_high = not np.array_equal(hi, np.full(n - 1, n))
+        expected = {"none": (False, False), "hit": (True, True), "low": (True, False), "high": (False, True)}
+        assert (cut_low, cut_high) == expected[branch]
+        assert (below > 0) == cut_low
+        assert qn_scale(values) == qn_partition_oracle(values)
+
+    def test_small_tied_samples(self, rng):
+        # trial counts often land on k exactly, which must cut above rank k
+        for _ in range(500):
+            v = rng.integers(0, 4, int(rng.integers(10, 14))).astype(float)
+            assert qn_scale(v) == qn_partition_oracle(v)
+
+
+class TestQnWork:
+    """A work count, not a timing: row-count passes of one Qn on desk-level ticks."""
+
+    @pytest.mark.parametrize("n,passes", [(1000, 6), (8760, 8)])
+    def test_row_count_passes(self, n, passes, monkeypatch):
+        calls = []
+        count = robust._first_column
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(robust, "_first_column", spy)
+        qn_scale(tick_sample(n))
+        assert len(calls) == passes
 
 
 class TestHampelWeight:
