@@ -13,8 +13,8 @@ from curveshape.robust import (
     HAMPEL_A,
     HAMPEL_B,
     HAMPEL_R,
+    MAD_CONSISTENCY,
     WeightFunctionSpec,
-    _bracketed_windows,
     _first_column,
     _median,
     bisquare_loss,
@@ -118,6 +118,28 @@ class TestMedianKernel:
             assert _median(v) == np.median(v)
             np.testing.assert_array_equal(_median(m), np.median(m, axis=0))
 
+    @staticmethod
+    def fit_size(n, rng):
+        """An (n, 24) array like a fit's residual columns: normal, 0.01 ticks at 50 and
+        ``MEDIAN_POOL`` draws, the last three holding 1, n // 2 and n NaNs."""
+        m = np.column_stack([
+            rng.standard_normal((n, 8)),
+            np.round(50.0 + 5.0 * rng.standard_normal((n, 6)), 2),
+            rng.choice(MEDIAN_POOL, (n, 10)),
+        ])
+        for col, count in zip((21, 22, 23), (1, n // 2, n)):
+            m[rng.choice(n, count, replace=False), col] = np.nan
+        return m
+
+    @pytest.mark.parametrize("n", [364, 365, 999, 1000])
+    def test_fit_sizes_match_numpy(self, n, rng):
+        m = self.fit_size(n, rng)
+        median = np.median(m, axis=0)
+        np.testing.assert_array_equal(_median(m), median)
+        assert np.isnan(median[21:]).all() and not np.isnan(median[:21]).any()
+        mad = MAD_CONSISTENCY * np.median(np.abs(m - median), axis=0)
+        np.testing.assert_array_equal(mad_scale(m, axis=0), mad)
+
     def test_nan_gives_nan_like_numpy(self):
         m = np.array([[1.0, 2.0], [np.nan, 3.0], [0.5, 4.0], [2.0, 5.0]])
         np.testing.assert_array_equal(_median(m), np.median(m, axis=0))
@@ -147,6 +169,16 @@ class TestQnScale:
             sample = np.random.default_rng(seed).standard_normal(2000)
             values.append(qn_scale(sample))
         assert abs(np.mean(values) - 1.0) < 0.05
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0],
+        [-0.0, 0.0, -0.0],
+        np.r_[np.zeros(600), -np.zeros(600)],  # returned from a round, not the gather
+    ])
+    def test_zero_scale_is_positive_zero(self, values):
+        # np.sort may leave -0.0 after 0.0, and -0.0 - 0.0 keeps the sign; == cannot tell
+        qn = qn_scale(values)
+        assert qn == 0.0 and not np.signbit(qn)
 
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate sample"):
@@ -188,7 +220,8 @@ class TestQnScale:
     def test_matches_partition_oracle_on_any_finite_floats(self, values):
         # covers signed zeros, subnormals and differences that overflow to inf
         with np.errstate(over="ignore"):
-            assert qn_scale(values) == qn_partition_oracle(values)
+            qn, expected = qn_scale(values), qn_partition_oracle(values)
+        assert qn == expected and np.signbit(qn) == np.signbit(expected)
 
     def test_memory_is_linear(self):
         values = tick_sample(6000)
@@ -263,46 +296,129 @@ class TestFirstColumn:
         assert sum(bisected) > 0
 
 
+def sorted_differences(values):
+    """Every ``y[j] - y[i]``, ``j > i``, of the sorted sample, computed as the kernel computes
+    them, in ascending order, with the rank k that Qn selects."""
+    y = np.sort(np.asarray(values, float))
+    i, j = np.triu_indices(y.size, k=1)
+    h = y.size // 2 + 1
+    return np.sort(y[j] - y[i]), h * (h - 1) // 2
+
+
+def branch(diffs, k, low, high):
+    """Where a round's two trials land, from the full set of differences: on either side
+    of rank k (``"hit"``), both below it (``"low"``, the high trial missed), both above it
+    (``"high"``, the low trial missed), or on the k-th value itself (``"tie"``)."""
+    if np.searchsorted(diffs, low, side="right") < k:  # count(<= low) < k
+        return "hit" if np.searchsorted(diffs, high, side="left") >= k else "low"
+    return "high" if np.searchsorted(diffs, low, side="left") >= k else "tie"
+
+
 class TestSubsampleBracket:
-    """Each bracket branch, and the Qn it leads to, equal to the partition oracle."""
+    """Each branch of a round, whose two trials bracket rank k from an evenly spaced
+    sample of the candidates, and the Qn it leads to, equal to the partition oracle."""
 
     CASES = [
-        # n = 9: C(9, 2) = 36 = 4n pairs go straight to the gather, no bracket
+        # at most C(10, 2) = 45 pairs, under the gather threshold: no round
         ("none", np.arange(9.0)),
-        ("hit", np.arange(10.0)),
-        # a high trial tied with the k-th value counts below rank k
-        ("low", np.array([0.0, 0, 0, 1, 1, 1, 2, 2, 2, 2])),
-        # a low trial tied with the k-th value counts at or above rank k
-        ("high", np.r_[np.zeros(5), np.ones(5)]),
+        ("none", np.arange(10.0)),
+        ("none", np.array([0.0, 0, 0, 1, 1, 1, 2, 2, 2, 2])),
+        ("none", np.r_[np.zeros(5), np.ones(5)]),
         ("hit", np.random.default_rng(3).standard_normal(1000)),
+        # the k-th difference, 1, sits 750 ranks above the 124,500 zeros, inside the
+        # sample's spread, so the high trial is 1 too and removes only the zeros
         ("low", np.arange(1000.0) // 250),
-        ("high", np.arange(1000.0) // 40),
+        # the k-th difference is one of 35,200 equal to 3, and so is the low trial
+        ("tie", np.arange(1000.0) // 40),
+        # every difference is 0: the first count removes nothing, the second returns
+        ("tie", np.full(1000, 3.7)),
     ]
 
-    @pytest.mark.parametrize("branch,values", CASES)
-    def test_branch_and_result(self, branch, values):
-        y = np.sort(values)
-        n = y.size
-        h = n // 2 + 1
-        rows, lo, hi, below = _bracketed_windows(y, h * (h - 1) // 2)
-        cut_low = not np.array_equal(lo, rows + 1)
-        cut_high = not np.array_equal(hi, np.full(n - 1, n))
-        expected = {"none": (False, False), "hit": (True, True), "low": (True, False), "high": (False, True)}
-        assert (cut_low, cut_high) == expected[branch]
-        assert (below > 0) == cut_low
-        assert qn_scale(values) == qn_partition_oracle(values)
+    @staticmethod
+    def rounds(values, monkeypatch):
+        """Qn of ``values`` with each pass's ``(low, high)`` trials and whether the
+        weighted median of the row medians gave them."""
+        passes = []
+        sampled, weighted = robust._sampled_trials, robust._row_median_trial
+
+        def sampled_spy(*args):
+            low, high = sampled(*args)
+            passes.append((low, high, False))
+            return low, high
+
+        def weighted_spy(*args):
+            trial = weighted(*args)
+            passes.append((trial, trial, True))
+            return trial
+
+        monkeypatch.setattr(robust, "_sampled_trials", sampled_spy)
+        monkeypatch.setattr(robust, "_row_median_trial", weighted_spy)
+        return qn_scale(values), passes
+
+    @pytest.mark.parametrize("expected,values", CASES)
+    def test_branch_and_result(self, expected, values, monkeypatch):
+        qn, passes = self.rounds(values, monkeypatch)
+        assert qn == qn_partition_oracle(values)
+        diffs, k = sorted_differences(values)
+        if expected == "none":
+            assert passes == []
+        else:
+            low, high, fallback = passes[0]
+            assert not fallback and branch(diffs, k, low, high) == expected
+
+    def test_missed_high_trial_falls_back_to_the_weighted_median(self, monkeypatch):
+        # the missed high trial keeps the 75% of candidates at or above 1, so the next pass
+        # takes the weighted median of the row medians, which is 1 and returns it
+        values = np.arange(1000.0) // 250
+        qn, passes = self.rounds(values, monkeypatch)
+        diffs, k = sorted_differences(values)
+        assert [p[2] for p in passes] == [False, True]
+        assert branch(diffs, k, *passes[1][:2]) == "tie"
+        assert qn == qn_partition_oracle(values)
+
+    FORCED = {  # 0-based ranks among the m remaining candidates, rank k at r
+        "hit": lambda r, m: (r - 5, r + 5),
+        "low": lambda r, m: (0, r // 2),
+        "high": lambda r, m: ((r + m) // 2, m - 1),
+        "tie": lambda r, m: (r, r),
+    }
+
+    @pytest.mark.parametrize("forced", list(FORCED))
+    def test_any_trials_give_the_exact_value(self, forced, rng, monkeypatch):
+        # trials read off the remaining candidates at forced ranks, in every round
+        ranks = self.FORCED[forced]
+
+        def trials(y, rows, lo, width, candidates, rank, size):
+            cols = np.arange(candidates) - np.repeat(np.cumsum(width) - width - lo, width)
+            remaining = np.sort(y[cols] - y[np.repeat(rows, width)])
+            low, high = ranks(rank - 1, candidates)
+            return remaining[max(low, 0)], remaining[min(high, candidates - 1)]
+
+        monkeypatch.setattr(robust, "_sampled_trials", trials)
+        values = rng.standard_normal(300)
+        qn, passes = self.rounds(values, monkeypatch)
+        diffs, k = sorted_differences(values)
+        assert branch(diffs, k, *passes[0][:2]) == forced
+        fallbacks = [p[2] for p in passes]
+        if forced in ("low", "high"):  # a miss this far keeps over half the candidates
+            assert fallbacks[:2] == [False, True]
+        else:  # the tie returns; the 9 candidates between k-5 and k+5 go to the gather
+            assert fallbacks == [False]
+        assert qn == qn_partition_oracle(values)
 
     def test_small_tied_samples(self, rng):
-        # trial counts often land on k exactly, which must cut above rank k
-        for _ in range(500):
+        for _ in range(500):  # at most 78 pairs: straight to the gather
             v = rng.integers(0, 4, int(rng.integers(10, 14))).astype(float)
+            assert qn_scale(v) == qn_partition_oracle(v)
+        for _ in range(40):  # rounds run, and trial counts often land on rank k exactly
+            v = rng.integers(0, int(rng.integers(2, 8)), int(rng.integers(130, 400))).astype(float)
             assert qn_scale(v) == qn_partition_oracle(v)
 
 
 class TestQnWork:
-    """A work count, not a timing: row-count passes of one Qn on desk-level ticks."""
+    """A work count, not a timing: row counts of one Qn on desk-level ticks."""
 
-    @pytest.mark.parametrize("n,passes", [(1000, 6), (8760, 8)])
+    @pytest.mark.parametrize("n,passes", [(1000, 4), (8760, 4)])
     def test_row_count_passes(self, n, passes, monkeypatch):
         calls = []
         count = robust._first_column
