@@ -98,8 +98,7 @@ class SyntheticMarketConfig:
             raise DataError(f"unknown contamination type: {self.contamination_type!r}")
         if self.contamination_sign not in ("random", "positive", "negative"):
             raise DataError(f"unknown contamination sign: {self.contamination_sign!r}")
-        system = constraints_for_weights(weights)
-        gap = np.max(np.abs(arbitrage_gap(system, gamma)))
+        gap = arbitrage_gap(constraints_for_weights(weights), gamma)
         if gap > 1e-10:
             raise DataError(f"true gamma violates non-arbitrage (gap {gap:.3g})")
 

@@ -16,11 +16,12 @@ from .exceptions import DataError
 from .periods import Period, delivery_hours, parse_period_label
 
 _WEIGHT_SUM_TOL = 1e-12
+FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap that counts as arbitrage-free
 
 
 @dataclass(frozen=True)
 class GranularitySplit:
-    """A parent period subdivided into K ordered children with hour weights."""
+    """A parent period subdivided into K ordered children with read-only hour weights."""
 
     parent_label: str
     child_labels: tuple[str, ...]
@@ -29,7 +30,8 @@ class GranularitySplit:
     children: tuple[Period, ...] | None = None
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 1:
             raise DataError("split needs at least one child")
@@ -109,20 +111,24 @@ def constraints_for_weights(weights) -> ConstraintSystem:
     return ConstraintSystem(weights)
 
 
-def arbitrage_gap(system: ConstraintSystem, gamma) -> np.ndarray:
-    """Componentwise residual ``matrix @ gamma - rhs``: (sum h A - 1, sum h B)."""
+def arbitrage_gap(system: ConstraintSystem, gamma) -> float:
+    """max(|sum h A - 1|, |sum h B|), the max-abs residual of ``matrix @ gamma = rhs``.
+
+    At most ``FEASIBILITY_TOLERANCE`` is arbitrage-free; a NaN gap never is.
+    """
     g = np.asarray(gamma, dtype=float)
     h = system.weights
     if g.shape != (2 * h.size,):
         raise DataError(f"gamma has {g.shape} entries, expected ({2 * h.size},)")
-    return np.array([h @ g[0::2] - 1.0, h @ g[1::2]])
+    return float(np.max(np.abs([h @ g[0::2] - 1.0, h @ g[1::2]])))
 
 
 def split_from_config(config: dict) -> GranularitySplit:
     """Build a split from a config block.
 
-    Explicit ``weights`` override hour-derived ones; children named by
-    period labels have their windows resolved and checked.
+    Explicit ``weights`` override hour-derived ones; weights that already sum
+    to one read back unchanged.  Children named by period labels have their
+    windows resolved and checked.
     """
     try:
         parent_label = config["parent"]
@@ -136,12 +142,14 @@ def split_from_config(config: dict) -> GranularitySplit:
         total = float(weights.sum())
         if total <= 0:
             raise DataError("split weights must be strictly positive")
+        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+            weights = weights / total
         parent = _try_parse(parent_label)
         children = tuple(_try_parse(c) for c in child_labels)
         return GranularitySplit(
             parent_label=parent_label,
             child_labels=tuple(child_labels),
-            weights=weights / total,
+            weights=weights,
             parent=parent,
             children=children if all(c is not None for c in children) else None,
         )

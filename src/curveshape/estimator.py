@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSystem, arbitrage_gap
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
 from .robust import MAD_CONSISTENCY, WeightFunctionSpec, _median, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
-FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap before the exact-limit re-run
 
 
 @dataclass
@@ -68,9 +67,10 @@ class FitConfig:
     or the string ``"auto"``, which means c = 1.  A zero s(Y) with c > 0
     gives the exact equality-constrained limit (alpha = inf).
     ``scale_estimator`` picks the column-residual standardization scale.
-    With ``feasibility_retry`` a fit whose arbitrage gap exceeds
-    ``FEASIBILITY_TOLERANCE``, or is NaN, is re-run once at the exact
-    equality-constrained limit (alpha = inf).
+    With ``feasibility_retry`` a fit whose ``arbitrage_gap`` exceeds
+    ``constraints.FEASIBILITY_TOLERANCE``, or is NaN, is re-run once at the
+    exact equality-constrained limit (alpha = inf); that is the tolerance
+    ``apply_level`` and ``check-arbitrage`` hold coefficients to.
     """
 
     weight_spec: WeightFunctionSpec = field(default_factory=WeightFunctionSpec)
@@ -329,7 +329,7 @@ def _fit_result(
         gamma=gamma,
         case_weights=weights,
         iterations=iterations,
-        arbitrage_gap_maxabs=float(np.max(np.abs(arbitrage_gap(system, gamma)))),
+        arbitrage_gap_maxabs=arbitrage_gap(system, gamma),
         residual_scales=scales,
         alpha_used=alpha,
         case_ids=list(dataset.case_ids),

@@ -9,12 +9,14 @@ type (weekday / Saturday / Sunday).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from datetime import timedelta
 
 import numpy as np
 
 from .constraints import (
+    FEASIBILITY_TOLERANCE,
     ConstraintSystem,
     GranularitySplit,
     arbitrage_gap,
@@ -30,41 +32,35 @@ DAY_TYPES = ("WD", "SAT", "SUN")
 
 @dataclass(frozen=True)
 class ShapingLevel:
-    """One split with its fitted coefficient pairs."""
+    """One split with a read-only copy of its fitted coefficient pairs.
+
+    ``max_gap``, their ``arbitrage_gap`` under the split's read-only weights, is computed once.
+    """
 
     split: GranularitySplit
     coefficients: np.ndarray  # (K, 2) rows of (A_k, B_k)
-    gap_tolerance: float = 1e-6
+    max_gap: float = field(init=False)
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape != (self.split.n_children, 2):
-            raise DataError("coefficients must be (K, 2) pairs (A_k, B_k)")
+        coeffs = np.array(self.coefficients, dtype=float)
+        if coeffs.shape != (self.split.n_children, 2):
+            k, label = self.split.n_children, self.split.parent_label
+            raise DataError(f"split {label!r} needs ({k}, 2) pairs (A_k, B_k), not {coeffs.shape}")
+        coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_system", constraints_for_weights(self.split.weights))
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.coefficients.reshape(-1)
-
-    def system(self) -> ConstraintSystem:
-        """The split's constraint system, built once; the gap is checked on every apply."""
-        return self._system
-
-    def gap(self) -> np.ndarray:
-        return arbitrage_gap(self.system(), self.gamma)
-
-    @property
-    def is_arbitrage_free(self) -> bool:
-        return bool(np.max(np.abs(self.gap())) <= self.gap_tolerance)
+        gap = arbitrage_gap(constraints_for_weights(self.split.weights), coeffs.reshape(-1))
+        object.__setattr__(self, "max_gap", gap)
 
 
 def apply_level(parent_price: float, level: ShapingLevel, override: bool = False) -> np.ndarray:
-    """Shape one parent price into K child prices: child_k = A_k * p + B_k."""
-    if not override and not level.is_arbitrage_free:
+    """Shape one parent price into K child prices: child_k = A_k * p + B_k.
+
+    Unless ``override`` is set, a ``max_gap`` above ``FEASIBILITY_TOLERANCE``, or NaN, raises.
+    """
+    if not override and not level.max_gap <= FEASIBILITY_TOLERANCE:
         raise DataError(
             f"level for {level.split.parent_label!r} violates non-arbitrage "
-            f"(max gap {np.max(np.abs(level.gap())):.3g}); pass override to force"
+            f"(max gap {level.max_gap:.3g}); pass override to force"
         )
     return level.coefficients[:, 0] * parent_price + level.coefficients[:, 1]
 
@@ -165,6 +161,8 @@ class MarketMatch:
     parent_quote: float
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.traded_price) and np.isfinite(self.parent_quote)):
+            raise DataError("market match prices must be finite")
         if self.parent_quote == 0.0:
             raise DataError("zero parent quote")
 
@@ -190,6 +188,8 @@ def recalibrate_with_traded(
     pins = {child: (float(a_k), float(b_k)) for child, (a_k, b_k) in (fixed or {}).items()}
     if market_match is not None:
         j = market_match.child_index
+        if not (isinstance(j, numbers.Integral) and 0 <= j < system.weights.size):
+            raise DataError(f"market match child {j!r} is not in [0, {system.weights.size})")
         if j in pins:
             raise DataError(f"child {j} pinned twice")
         if prior is None:
@@ -237,7 +237,8 @@ def cascade_from_config(config: dict) -> ShapingCascade:
     Schema: ``{"root": label, "levels": [{"name": str, "splits": [
     {"parent": ..., "children": [...], "weights": [...]?,
     "coefficients": [[A, B], ...]}]}]}``.  Children that are not period
-    labels (day types, hours) need explicit weights.
+    labels (day types, hours) need explicit weights.  Every level is held to
+    ``FEASIBILITY_TOLERANCE`` when applied.
     """
     try:
         root = config["root"]
@@ -260,12 +261,7 @@ def cascade_from_config(config: dict) -> ShapingCascade:
             coeffs = split_cfg.get("coefficients")
             if coeffs is None:
                 raise DataError(f"split {split.parent_label!r} has no coefficients")
-            level = ShapingLevel(
-                split=split,
-                coefficients=np.asarray(coeffs, dtype=float),
-                gap_tolerance=float(split_cfg.get("gap_tolerance", 1e-6)),
-            )
-            level_map[split.parent_label] = level
+            level_map[split.parent_label] = ShapingLevel(split, coeffs)
         names.append(name)
         maps.append(level_map)
     return ShapingCascade(root=root, level_names=names, levels=maps)

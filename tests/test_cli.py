@@ -115,9 +115,7 @@ class TestPredict:
         tmp_path, _, _ = workspace
         coeffs = [[1.121, -1.604], [0.875, 1.406], [0.921, 0.930], [1.083, -0.732]]
         cascade = tmp_path / "cascade.json"
-        config = self.cascade_config(coeffs)
-        config["levels"][0]["splits"][0]["gap_tolerance"] = 2.5e-3
-        cascade.write_text(json.dumps(config))
+        cascade.write_text(json.dumps(self.cascade_config(coeffs)))
         out = tmp_path / "curve.csv"
         rc = main(
             ["predict", "--cascade", str(cascade), "--parent-price", "50.20", "--target", "quarter", "--out", str(out)]
@@ -125,6 +123,15 @@ class TestPredict:
         assert rc == 0
         prices = [float(line.split(",")[-1]) for line in out.read_text().splitlines()[1:]]
         np.testing.assert_allclose(prices, [54.6702, 45.331, 47.1642, 53.6346], atol=1e-9)
+
+    def test_coefficient_file_of_the_wrong_width(self, workspace, capsys):
+        tmp_path, _, _ = workspace
+        report, cascade = tmp_path / "fit3.json", tmp_path / "cascade.json"
+        report.write_text(json.dumps({"coefficients": {"A1": 1.0, "B1": 0.0, "A2": 1.0, "B2": 0.0, "A3": 1.0, "B3": 0.0}}))
+        cascade.write_text(json.dumps(self.cascade_config(None)))
+        argv = ["--coeffs", str(report), "--cascade", str(cascade), "--parent-price", "50", "--target", "quarter"]
+        assert main(["predict", *argv]) == 2
+        assert "'CAL-2014'" in capsys.readouterr().err
 
     def test_weighted_mean_matches_parent(self, workspace, rng):
         from conftest import arbitrage_free_gamma

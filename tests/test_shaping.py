@@ -29,10 +29,9 @@ from curveshape.shaping import daytype_split, hour_split
 from curveshape.periods import month_period
 
 
-def make_level(parent, children, weights, slopes, intercepts, tol=1e-6):
+def make_level(parent, children, weights, slopes, intercepts):
     split = GranularitySplit(parent, tuple(children), np.asarray(weights, float))
-    coeffs = np.column_stack([slopes, intercepts])
-    return ShapingLevel(split=split, coefficients=coeffs, gap_tolerance=tol)
+    return ShapingLevel(split=split, coefficients=np.column_stack([slopes, intercepts]))
 
 
 def identity_level(parent, child):
@@ -58,7 +57,6 @@ class TestApplyLevel:
             EQUAL_WEIGHTS,
             MCRM_SLOPES,
             MCRM_INTERCEPTS,
-            tol=2.5e-3,
         )
         prices = apply_level(50.20, level)
         np.testing.assert_allclose(prices, [54.6702, 45.331, 47.1642, 53.6346], atol=1e-10)
@@ -82,18 +80,20 @@ class TestApplyLevel:
 
     def test_refuses_arbitrage_violation(self):
         level = make_level("P", ["a", "b"], [0.5, 0.5], [1.2, 1.2], [0.0, 0.0])
-        assert not level.is_arbitrage_free
+        assert level.max_gap == pytest.approx(0.2)
         with pytest.raises(DataError, match="non-arbitrage"):
             apply_level(50.0, level)
         np.testing.assert_allclose(apply_level(50.0, level, override=True), [60.0, 60.0])
 
-    def test_system_is_built_once_but_the_gap_is_checked_on_every_apply(self):
-        level = make_level("P", ["a", "b"], [0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
-        assert level.system() is level.system()
+    def test_gap_is_computed_once_over_read_only_copies(self):
+        weights, coeffs = np.array([0.5, 0.5]), np.array([[1.0, 0.0], [1.0, 0.0]])
+        level = ShapingLevel(GranularitySplit("P", ("a", "b"), weights), coeffs)
+        weights[0], coeffs[0, 0] = 0.7, 1.2  # the caller's arrays were copied
+        assert level.max_gap == 0.0
+        for array in (level.coefficients, level.split.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
         np.testing.assert_allclose(apply_level(50.0, level), [50.0, 50.0])
-        level.coefficients[0, 0] = 1.2  # the array stays mutable
-        with pytest.raises(DataError, match="non-arbitrage"):
-            apply_level(50.0, level)
 
 
 class TestCascade:
@@ -213,6 +213,22 @@ class TestRecalibration:
                 equal_weight_system,
                 market_match=MarketMatch(child_index=0, traded_price=50.0, parent_quote=49.0),
             )
+
+    @pytest.mark.parametrize("child", [4, -1, 2.0])
+    def test_market_match_child_out_of_range(self, rng, equal_weight_system, child):
+        ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=100, noise=0.3)
+        prior = irls_fit(ds, equal_weight_system)
+        match = MarketMatch(child_index=child, traded_price=50.0, parent_quote=49.0)
+        with pytest.raises(DataError, match=f"market match child {child!r}"):
+            recalibrate_with_traded(ds, equal_weight_system, market_match=match, prior=prior)
+
+    def test_market_match_rejects_nan_traded_price(self):
+        with pytest.raises(DataError, match="finite"):
+            MarketMatch(child_index=0, traded_price=float("nan"), parent_quote=49.0)
+
+    def test_market_match_rejects_infinite_parent_quote(self):
+        with pytest.raises(DataError, match="finite"):
+            MarketMatch(child_index=0, traded_price=50.0, parent_quote=float("inf"))
 
 
 class TestCalendarLevels:
