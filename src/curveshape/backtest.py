@@ -99,7 +99,7 @@ class SyntheticMarketConfig:
         if self.contamination_sign not in ("random", "positive", "negative"):
             raise DataError(f"unknown contamination sign: {self.contamination_sign!r}")
         gap = arbitrage_gap(constraints_for_weights(weights), gamma)
-        if gap > 1e-10:
+        if not gap <= 1e-10:  # a NaN gap violates too
             raise DataError(f"true gamma violates non-arbitrage (gap {gap:.3g})")
 
     @property

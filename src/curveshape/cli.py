@@ -28,7 +28,7 @@ from .exceptions import CurveShapeError, DataError, NumericalError
 from .market import build_regression_dataset, load_quotes
 from .periods import parse_period_label
 from .robust import WeightFunctionSpec
-from .shaping import cascade_from_config, leaf_window, shape_curve
+from .shaping import cascade, cascade_from_config, leaf_window, shape_curve
 
 _GRANULARITY_DEPTH_NAMES = ("quarter", "month", "day", "hour")
 
@@ -106,9 +106,12 @@ def _load_split_and_system(path: str):
 
 
 def _split_kinds(split) -> tuple[str, str]:
-    if split.parent is None or split.children is None:
-        raise DataError("split config must name resolvable parent and child periods")
-    return split.parent.kind, split.children[0].kind
+    try:
+        parent = parse_period_label(split.parent_label)
+        children = [parse_period_label(c) for c in split.child_labels]
+    except DataError:
+        raise DataError("split config must name resolvable parent and child periods") from None
+    return parent.kind, children[0].kind
 
 
 def _cmd_fit(args) -> int:
@@ -171,9 +174,7 @@ def _cmd_predict(args) -> int:
     depth = _resolve_target_depth(casc, target)
     if depth is None:
         # a specific period label: emit the single chained price
-        from .shaping import cascade as cascade_price
-
-        price = cascade_price(args.parent_price, casc, target, override=args.override_arbitrage)
+        price = cascade(args.parent_price, casc, target, override=args.override_arbitrage)
         start, end = leaf_window(target)
         _write_text(args.out, "label,period_start,period_end,weight,price\n"
                     f"{target},{start},{end},,{price!r}\n")

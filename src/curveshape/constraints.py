@@ -21,13 +21,15 @@ FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap that counts as arbitrage-f
 
 @dataclass(frozen=True)
 class GranularitySplit:
-    """A parent period subdivided into K ordered children with read-only hour weights."""
+    """A parent label subdivided into K ordered child labels with read-only hour weights.
+
+    Labels are plain strings: period labels, or the day-type and hour suffixes
+    a cascade uses.  Callers that need the periods parse the labels.
+    """
 
     parent_label: str
     child_labels: tuple[str, ...]
     weights: np.ndarray
-    parent: Period | None = None
-    children: tuple[Period, ...] | None = None
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -70,8 +72,6 @@ def build_split(parent: Period, children: list[Period]) -> GranularitySplit:
         parent_label=parent.label,
         child_labels=tuple(c.label for c in children),
         weights=weights,
-        parent=parent,
-        children=tuple(children),
     )
 
 
@@ -127,8 +127,9 @@ def split_from_config(config: dict) -> GranularitySplit:
     """Build a split from a config block.
 
     Explicit ``weights`` override hour-derived ones; weights that already sum
-    to one read back unchanged.  Children named by period labels have their
-    windows resolved and checked.
+    to one read back unchanged, and the labels are kept as given.  Without
+    them every label must be a period label, and the children must tile the
+    parent.
     """
     try:
         parent_label = config["parent"]
@@ -144,22 +145,7 @@ def split_from_config(config: dict) -> GranularitySplit:
             raise DataError("split weights must be strictly positive")
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             weights = weights / total
-        parent = _try_parse(parent_label)
-        children = tuple(_try_parse(c) for c in child_labels)
-        return GranularitySplit(
-            parent_label=parent_label,
-            child_labels=tuple(child_labels),
-            weights=weights,
-            parent=parent,
-            children=children if all(c is not None for c in children) else None,
-        )
+        return GranularitySplit(parent_label, tuple(child_labels), weights)
     parent = parse_period_label(parent_label)
     children = [parse_period_label(c) for c in child_labels]
     return build_split(parent, children)
-
-
-def _try_parse(label: str) -> Period | None:
-    try:
-        return parse_period_label(label)
-    except DataError:
-        return None

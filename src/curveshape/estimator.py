@@ -9,6 +9,7 @@ residual distances until the intercepts stop moving.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -260,17 +261,18 @@ def penalized_wls_solve(
     if h.size != k:
         raise DataError(f"constraint system has {h.size} weights, not one per child (K={k})")
     pins = fixed or {}
-    for j in pins:
-        if not 0 <= j < k:
-            raise DataError(f"pinned child {j} out of range for K={k}")
     gamma = np.empty((k, 2))
     r = system.rhs
     for j, pair in pins.items():
+        if not 0 <= j < k:
+            raise DataError(f"pinned child {j} out of range for K={k}")
         gamma[j] = pair
+        if not (math.isfinite(gamma[j, 0]) and math.isfinite(gamma[j, 1])):
+            raise DataError(f"pinned child {j} needs a finite (A, B), not {pair}")
         r -= h[j] * gamma[j]
     free = [j for j in range(k) if j not in pins]
     if not free:
-        if np.max(np.abs(r)) > 1e-9:
+        if not np.max(np.abs(r)) <= 1e-9:  # a NaN residual is infeasible too
             raise DataError("infeasible fixing")
         return gamma.reshape(-1)
 

@@ -67,7 +67,11 @@ def apply_level(parent_price: float, level: ShapingLevel, override: bool = False
 
 @dataclass
 class ShapingCascade:
-    """Ordered levels, each mapping parent labels to their shaping level."""
+    """Ordered levels, each mapping parent labels to their shaping level.
+
+    Construction records each label's owner: the first split, scanning
+    levels in order, that lists it as a child.
+    """
 
     root: str
     level_names: list[str]
@@ -76,37 +80,33 @@ class ShapingCascade:
     def __post_init__(self) -> None:
         if len(self.level_names) != len(self.levels):
             raise DataError("level names and level maps disagree in length")
+        self._owners: dict[str, tuple[int, str, int]] = {}
         reachable = {self.root}
-        for name, level_map in zip(self.level_names, self.levels):
-            parents = set(level_map)
-            if not parents & reachable:
+        for i, (name, level_map) in enumerate(zip(self.level_names, self.levels)):
+            if not reachable.intersection(level_map):
                 raise DataError(f"level {name!r} is not chained to the cascade root")
-            next_reachable = set()
+            reachable = set()
             for parent_label, level in level_map.items():
-                next_reachable.update(level.split.child_labels)
-            reachable = next_reachable
-
-    def parent_of(self, label: str) -> tuple[int, str, int] | None:
-        """(level index, parent label, child position) owning ``label``."""
-        for i, level_map in enumerate(self.levels):
-            for parent_label, level in level_map.items():
-                if label in level.split.child_labels:
-                    return i, parent_label, level.split.child_labels.index(label)
-        return None
+                for j, child in enumerate(level.split.child_labels):
+                    self._owners.setdefault(child, (i, parent_label, j))
+                reachable.update(level.split.child_labels)
 
 
 def cascade(parent_price: float, casc: ShapingCascade, target: str, override: bool = False) -> float:
-    """Price for one target period, composing levels along its parent chain."""
-    if target == casc.root:
-        return float(parent_price)
+    """Price for one target label, composing levels down its chain of owners.
+
+    Each step up from ``target`` goes to its owner's parent label, and every
+    owner must sit at a strictly earlier level than the one before, ending at
+    the root.  A label with no such chain has no shaping path.
+    """
     chain: list[tuple[int, str, int]] = []
-    label = target
+    label, level_idx = target, len(casc.levels)
     while label != casc.root:
-        owner = casc.parent_of(label)
-        if owner is None:
+        owner = casc._owners.get(label)
+        if owner is None or owner[0] >= level_idx:
             raise DataError(f"no shaping path to {target!r}")
         chain.append(owner)
-        label = owner[1]
+        level_idx, label = owner[0], owner[1]
     price = float(parent_price)
     for level_idx, parent_label, child_idx in reversed(chain):
         level = casc.levels[level_idx][parent_label]
@@ -134,8 +134,7 @@ def shape_curve(
             if level is None:
                 raise DataError(f"no shaping path below {label!r}")
             prices = apply_level(price, level, override)
-            for j, child in enumerate(level.split.child_labels):
-                nxt.append((child, weight * float(level.split.weights[j]), float(prices[j])))
+            nxt += zip(level.split.child_labels, (weight * level.split.weights).tolist(), prices.tolist())
         frontier = nxt
     return frontier
 
@@ -218,7 +217,6 @@ def daytype_split(month: Period) -> GranularitySplit:
         parent_label=month.label,
         child_labels=tuple(f"{month.label}:{t}" for t in DAY_TYPES),
         weights=days / days.sum(),
-        parent=month,
     )
 
 

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveshape
 from curveshape.cli import main
 
 SPLIT_CONFIG = {
@@ -168,6 +173,25 @@ class TestPredict:
         cascade = tmp_path / "cascade.json"
         cascade.write_text(json.dumps(self.cascade_config([[1.0, 0.0]] * 4)))
         assert main(["predict", "--cascade", str(cascade), "--parent-price", "1", "--target", "hour"]) == 2
+
+    def test_cycle_below_the_root_is_unreachable(self, tmp_path):
+        # A -> B and B -> A pass the chaining check, as X -> Y chains level 1 to the root.
+        def split(parent, child):
+            return {"parent": parent, "children": [child], "weights": [1.0], "coefficients": [[1.0, 0.0]]}
+
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"root": "ROOT", "levels": [
+            {"name": "L0", "splits": [split("ROOT", "X")]},
+            {"name": "L1", "splits": [split("X", "Y"), split("A", "B"), split("B", "A")]},
+        ]}))
+        src = str(Path(curveshape.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from curveshape.cli import main; sys.exit(main(sys.argv[1:]))",
+             "predict", "--cascade", str(path), "--parent-price", "50", "--target", "A"],
+            capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "no shaping path to 'A'" in proc.stderr
 
     def test_coeffs_file_fills_missing(self, workspace):
         tmp_path, quotes, split = workspace
@@ -368,6 +392,14 @@ class TestSimulate:
         lines = labels.read_text().splitlines()
         assert lines[0] == "case_id"
         assert len(lines) == 1 + 20
+
+    def test_nan_gamma_is_a_data_error(self, tmp_path, capsys):
+        gamma_file = tmp_path / "gamma.json"
+        gamma_file.write_text(json.dumps({"gamma": [float("nan"), 0, 1, 0, 1, 0, 1, 0]}))
+        out = tmp_path / "q.csv"
+        assert main(["simulate", "--gamma", str(gamma_file), "--out", str(out)]) == 2
+        assert "violates non-arbitrage (gap nan)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_then_fit_recovers_gamma(self, tmp_path):
         quotes = tmp_path / "q.csv"

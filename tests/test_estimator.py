@@ -225,6 +225,20 @@ class TestPenalizedSolve:
         with pytest.raises(DataError, match="3 weights, not one per child"):
             penalized_wls_solve(x, y, w, constraints_for_weights(np.full(3, 1 / 3)), 1.0)
 
+    @pytest.mark.parametrize("pair", [(np.nan, 0.0), (1.0, -np.inf)])
+    def test_non_finite_pin(self, equal_weight_system, pair):
+        x, y, w = np.arange(6.0), np.ones((6, 4)), np.ones(6)
+        for fixed in ({0: pair}, {j: pair for j in range(4)}):
+            with pytest.raises(DataError, match="pinned child 0 needs a finite"):
+                penalized_wls_solve(x, y, w, equal_weight_system, np.inf, fixed)
+
+    def test_full_pinning_with_a_nan_residual_is_infeasible(self):
+        # Finite pins whose weighted sums overflow to inf - inf leave a NaN residual.
+        system = constraints_for_weights([1e150, 1e150])
+        fixed = {0: (-1e160, 0.0), 1: (1e160, 0.0)}
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="infeasible fixing"):
+            penalized_wls_solve(np.arange(4.0), np.ones((4, 2)), np.ones(4), system, np.inf, fixed)
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -1,7 +1,10 @@
 """The package's public surface: ``curveshape.__all__`` and the names README uses."""
 
+import dataclasses
 import re
 from pathlib import Path
+
+import pytest
 
 import curveshape as cs
 
@@ -54,6 +57,32 @@ PUBLIC = {
     "synthesize_market",
     "verify_consistency",
 }
+
+
+# Every option of the public config and data classes.  A new field is a new
+# knob, and it needs an edit here.
+FIELDS = {
+    "FitConfig": (
+        "weight_spec", "alpha_multiplier", "scale_estimator", "tolerance", "max_iterations",
+        "feasibility_retry",
+    ),
+    "SyntheticMarketConfig": (
+        "true_gamma", "weights", "n_dates", "start", "delivery_year", "x_path", "noise_scale",
+        "contamination_fraction", "outlier_magnitude", "contamination_type",
+        "contamination_column", "contamination_sign", "seed",
+    ),
+    "XPathParams": ("level", "seasonal_amplitude", "period_days", "noise"),
+    "WeightFunctionSpec": ("kind",),
+    "GranularitySplit": ("parent_label", "child_labels", "weights"),
+    "ShapingLevel": ("split", "coefficients", "max_gap"),
+    "ShapingCascade": ("root", "level_names", "levels"),
+    "MarketMatch": ("child_index", "traded_price", "parent_quote"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_public_dataclass_fields_are_pinned(name):
+    assert tuple(f.name for f in dataclasses.fields(getattr(cs, name))) == FIELDS[name]
 
 
 def test_all_is_the_public_surface():

@@ -204,6 +204,13 @@ class TestRecalibration:
         with pytest.raises(DataError, match="infeasible fixing"):
             recalibrate_with_traded(ds, equal_weight_system, fixed=bad_fix)
 
+    @pytest.mark.parametrize("pinned", [[0], [0, 1, 2, 3]])
+    def test_nan_pin_is_rejected(self, rng, equal_weight_system, pinned):
+        ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=100, noise=0.3)
+        fixed = {j: (float("nan"), 0.0) for j in pinned}
+        with pytest.raises(DataError, match="finite"):
+            recalibrate_with_traded(ds, equal_weight_system, fixed=fixed)
+
     def test_market_match_requires_prior(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
         ds = synthetic_dataset(rng, gamma, n=100, noise=0.3)
