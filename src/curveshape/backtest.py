@@ -12,7 +12,7 @@ from .baselines import ratio_average_result
 from .constraints import ConstraintSystem, arbitrage_gap, constraints_for_weights
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit
 from .exceptions import DataError
-from .market import Quote, QuoteTable, build_regression_dataset
+from .market import QuoteTable, build_regression_dataset
 from .periods import period_children, year_period
 
 METHOD_NAMES = ("mcrm", "classical", "ratio-average")
@@ -92,6 +92,10 @@ class SyntheticMarketConfig:
         object.__setattr__(self, "weights", weights)
         if gamma.size != 2 * weights.size:
             raise DataError("true_gamma must hold (A_k, B_k) pairs for each weight")
+        p = self.x_path
+        numbers = (p.level, p.seasonal_amplitude, p.period_days, p.noise, self.outlier_magnitude)
+        if not np.isfinite(np.append(numbers, self.noise_scale)).all():
+            raise DataError("synthetic market parameters must be finite")
         if not 0.0 <= self.contamination_fraction < 0.5:
             raise DataError("contamination fraction must lie in [0, 0.5)")
         if self.contamination_type not in ("vertical", "leverage"):
@@ -123,8 +127,7 @@ class SyntheticMarket:
     @property
     def case_ids(self) -> list[str]:
         parent = year_period(self.config.delivery_year).label
-        seen = sorted({q.quote_date for q in self.table.quotes})
-        return [f"{d.isoformat()}|{parent}" for d in seen]
+        return [f"{d.isoformat()}|{parent}" for d in self.table.dates()]
 
 
 def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
@@ -176,13 +179,12 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     children = period_children(parent, "quarter")
     if len(children) != k:
         raise DataError(f"gamma has {k} children but {parent.label} has {len(children)} quarters")
-    quotes = []
-    for i, d in enumerate(quote_dates):
-        quotes.append(Quote(d, parent.label, parent, float(x[i])))
-        for j, child in enumerate(children):
-            quotes.append(Quote(d, child.label, child, float(y[i, j])))
+    prices = {}
+    for d, parent_price, child_prices in zip(quote_dates, x.tolist(), y.tolist()):
+        prices[d, parent.label] = parent_price
+        prices.update(((d, child.label), p) for child, p in zip(children, child_prices))
     contaminated = [f"{quote_dates[i].isoformat()}|{parent.label}" for i in bad_rows]
-    return SyntheticMarket(table=QuoteTable(quotes), contaminated_ids=contaminated, config=config)
+    return SyntheticMarket(table=QuoteTable(prices), contaminated_ids=contaminated, config=config)
 
 
 @dataclass

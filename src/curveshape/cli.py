@@ -159,6 +159,8 @@ def _resolve_target_depth(casc, target: str) -> int | None:
 
 
 def _cmd_predict(args) -> int:
+    if not np.isfinite(args.parent_price):
+        raise DataError(f"--parent-price must be finite, not {args.parent_price!r}")
     config = _read_json(args.cascade)
     if args.coeffs:
         pairs = gamma_from_report(_read_json(args.coeffs)).reshape(-1, 2)

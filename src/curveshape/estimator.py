@@ -283,8 +283,10 @@ def penalized_wls_solve(
     sxx = float(w2 @ xc**2)
     # Rank test on the per-child design [w x, w] as numpy's lstsq makes it:
     # a singular value below eps * n times the largest counts as zero
-    # (det G = sw * sxx, and trace G bounds the largest eigenvalue).
-    if not sw * sxx > (_EPS * n * (sxx + sw * (1.0 + xbar**2))) ** 2:
+    # (det G = sw * sxx, and trace G bounds the largest eigenvalue).  x * x
+    # overflows to inf where ** raises, so huge prices fail the test instead.
+    bound = _EPS * n * (sxx + sw * (1.0 + xbar * xbar))
+    if not sw * sxx > bound * bound:
         raise NumericalError("rank-deficient weighted design")
     yf = ya[:, free]
     ybar = (w2 @ yf) / sw

@@ -18,57 +18,43 @@ import numpy as np
 
 from .estimator import Dataset
 from .exceptions import DataError
-from .periods import ContractCode, Period, parse_contract, period_children, resolve_relative
+from .periods import (
+    ContractCode, Period, parse_contract, parse_period_label, period_children, resolve_relative,
+)
 
 CSV_HEADER = "quote_date,contract,price"
 
 
-@dataclass(frozen=True)
-class Quote:
-    """One forward price observation with its resolved delivery window."""
-
-    quote_date: date
-    contract: str
-    period: Period
-    price: float
-
-
 @dataclass
 class QuoteTable:
-    """Immutable-after-load quote collection indexed by (date, period label)."""
+    """Each quote once: its price keyed by (quote date, absolute period label)."""
 
-    quotes: list[Quote] = field(default_factory=list)
+    prices: dict[tuple[date, str], float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._index: dict[tuple[date, str], Quote] = {}
-        for q in self.quotes:
-            key = (q.quote_date, q.period.label)
-            if key in self._index:
-                raise DataError(
-                    f"duplicate quote for {q.period.label} on {q.quote_date.isoformat()}"
-                )
-            self._index[key] = q
+    def _periods(self) -> dict[str, Period]:
+        """Delivery period of each distinct label, parsed once."""
+        return {label: parse_period_label(label) for label in {label for _, label in self.prices}}
 
     def __len__(self) -> int:
-        return len(self.quotes)
-
-    def lookup(self, quote_date: date, period_label: str) -> Quote | None:
-        return self._index.get((quote_date, period_label))
+        return len(self.prices)
 
     def dates(self) -> list[date]:
-        return sorted({q.quote_date for q in self.quotes})
+        return sorted({quote_date for quote_date, _ in self.prices})
 
     def filter_dates(self, start: date, end: date) -> "QuoteTable":
         """Quotes with start <= quote_date <= end."""
-        return QuoteTable([q for q in self.quotes if start <= q.quote_date <= end])
+        return QuoteTable({key: p for key, p in self.prices.items() if start <= key[0] <= end})
 
     def merged_with(self, other: "QuoteTable") -> "QuoteTable":
-        return QuoteTable(self.quotes + other.quotes)
+        overlap = min(self.prices.keys() & other.prices.keys(), default=None)
+        if overlap:
+            raise DataError(f"duplicate quote for {overlap[1]} on {overlap[0].isoformat()}")
+        return QuoteTable({**self.prices, **other.prices})
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for q in sorted(self.quotes, key=lambda q: (q.quote_date, q.period.start, q.period.label)):
-            lines.append(f"{q.quote_date.isoformat()},{q.period.label},{q.price!r}")
+        periods = self._periods()
+        keys = sorted(self.prices, key=lambda key: (key[0], periods[key[1]].start, key[1]))
+        lines = [CSV_HEADER] + [f"{d.isoformat()},{label},{self.prices[d, label]!r}" for d, label in keys]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
@@ -93,7 +79,7 @@ def load_quotes(source) -> QuoteTable:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
-    quotes: list[Quote] = []
+    prices: dict[tuple[date, str], float] = {}
     codes: dict[str, ContractCode] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -123,8 +109,10 @@ def load_quotes(source) -> QuoteTable:
             raise DataError(
                 f"line {lineno}: delivery window of {period.label} starts before quote date"
             )
-        quotes.append(Quote(quote_date, raw_contract, period, price))
-    return QuoteTable(quotes)
+        if (quote_date, period.label) in prices:
+            raise DataError(f"line {lineno}: duplicate quote for {period.label} on {quote_date}")
+        prices[quote_date, period.label] = price
+    return QuoteTable(prices)
 
 
 @dataclass
@@ -157,10 +145,9 @@ def build_regression_dataset(
     children are quoted on that date; anything with a missing child is
     dropped and counted in the completeness report.
     """
-    rows: list[tuple[date, Period]] = sorted(
-        ((q.quote_date, q.period) for q in table.quotes if q.period.kind == parent_kind),
-        key=lambda item: (item[0], item[1].start),
-    )
+    prices, periods = table.prices, table._periods()
+    # Periods order by start, so this sorts by (quote date, parent start).
+    rows = sorted((d, periods[label]) for d, label in prices if periods[label].kind == parent_kind)
     xs: list[float] = []
     ys: list[list[float]] = []
     ids: list[str] = []
@@ -170,14 +157,13 @@ def build_regression_dataset(
         labels = child_labels.get(parent)
         if labels is None:
             labels = child_labels[parent] = [c.label for c in period_children(parent, child_kind)]
-        child_quotes = [table.lookup(quote_date, label) for label in labels]
-        if any(q is None for q in child_quotes):
-            absent = [label for label, q in zip(labels, child_quotes) if q is None]
+        child_prices = [prices.get((quote_date, label)) for label in labels]
+        if None in child_prices:
+            absent = [label for label, p in zip(labels, child_prices) if p is None]
             missing.append((quote_date.isoformat(), parent.label, absent))
             continue
-        parent_quote = table.lookup(quote_date, parent.label)
-        xs.append(parent_quote.price)
-        ys.append([q.price for q in child_quotes])
+        xs.append(prices[quote_date, parent.label])
+        ys.append(child_prices)
         ids.append(f"{quote_date.isoformat()}|{parent.label}")
     if not xs:
         raise DataError("no joint observations")

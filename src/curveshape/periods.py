@@ -113,6 +113,8 @@ def hour_period(d: date, hour: int) -> Period:
 
 def parse_period_label(label: str) -> Period:
     """Parse an absolute period label (CAL-2014, Q3-2012, M-2012-07, ...)."""
+    if not isinstance(label, str):
+        raise DataError(f"malformed period label: {label!r}")
     try:
         if label.startswith("CAL-"):
             return year_period(int(label[4:]))

@@ -263,12 +263,11 @@ def _two_parent_table():
     cal14 = synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, delivery_year=2014, seed=3, **base))
     cal15 = synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, delivery_year=2015, seed=4, **base))
     days = cal14.table.dates()
-    quotes = [
-        q for q in cal14.table.merged_with(cal15.table).quotes
-        if q.quote_date not in days[30:33]
-        and not (q.quote_date == days[42] and q.contract == "CAL-2015")
-    ]
-    return QuoteTable(quotes), days
+    prices = {
+        (d, label): price for (d, label), price in cal14.table.merged_with(cal15.table).prices.items()
+        if d not in days[30:33] and (d, label) != (days[42], "CAL-2015")
+    }
+    return QuoteTable(prices), days
 
 
 def test_expanding_window_matches_reference_loop(monkeypatch):

@@ -80,6 +80,28 @@ class TestFit:
         assert main(["fit", "--quotes", str(quotes), "--split", str(split)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_string_split_label_is_a_data_error(self, workspace, capsys):
+        tmp_path, quotes, _ = workspace
+        split = tmp_path / "int-label.json"
+        split.write_text(json.dumps(dict(SPLIT_CONFIG, children=["Q1-2014", "Q2-2014", "Q3-2014", 4])))
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split)]) == 2
+        assert "resolvable parent and child periods" in capsys.readouterr().err
+
+    def test_overflowing_rank_test_is_a_numerical_failure(self, workspace, capsys):
+        # Finite prices near 1e160: squaring their weighted mean overflows a float.
+        tmp_path, _, split = workspace
+        u = np.random.default_rng(5).uniform(size=(30, 5))
+        rows = [
+            f"2013-01-{i + 1:02d},{label},{float(1e160 * (1.0 + 1e-9 * u[i, j]))!r}"
+            for i in range(30)
+            for j, label in enumerate(["CAL-2014", *SPLIT_CONFIG["children"]])
+        ]
+        quotes, out = tmp_path / "huge.csv", tmp_path / "fit.json"
+        quotes.write_text("quote_date,contract,price\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(out)]) == 3
+        assert "numerical failure: rank-deficient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_alpha_flag(self, workspace):
         tmp_path, quotes, split = workspace
         out = tmp_path / "fit0.json"
@@ -416,6 +438,21 @@ class TestSimulate:
         gamma = [report["coefficients"][f"{c}{j}"] for j in range(1, 5) for c in ("A", "B")]
         np.testing.assert_allclose(gamma, [1.3, -2.0, 0.7, 1.0, 0.9, 1.5, 1.1, -0.5], atol=1e-8)
 
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--level", "--amplitude", "--path-noise", "--noise", "--magnitude", "--parent-price"])
+def test_non_finite_number_flag_is_a_data_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out.csv"
+    if flag == "--parent-price":
+        cascade = tmp_path / "cascade.json"
+        cascade.write_text(json.dumps(TestPredict().cascade_config([[1.0, 0.0]] * 4)))
+        argv = ["predict", "--cascade", str(cascade), "--target", "quarter"]
+    else:
+        argv = ["simulate", "--n-dates", "20"]
+    assert main([*argv, f"{flag}={value}", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReadmeFlow:

@@ -1,12 +1,14 @@
 """Tests for quote ingestion and dataset assembly."""
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import curveshape.market
-from curveshape import build_regression_dataset, load_quotes
+from curveshape import QuoteTable, build_regression_dataset, load_quotes
 from curveshape.exceptions import DataError
 
 TABLE_SNAPSHOT = """quote_date,contract,price
@@ -25,7 +27,7 @@ class TestLoadQuotes:
     def test_snapshot_rows_resolve_distinctly(self):
         table = load_quotes(TABLE_SNAPSHOT)
         assert len(table) == 8
-        labels = {q.period.label for q in table.quotes}
+        labels = {label for _, label in table.prices}
         assert labels == {
             "D-2012-05-04",
             "D-2012-05-05",
@@ -36,7 +38,7 @@ class TestLoadQuotes:
             "Q4-2012",
             "CAL-2013",
         }
-        assert table.lookup(date(2012, 5, 3), "CAL-2013").price == 50.20
+        assert table.prices[date(2012, 5, 3), "CAL-2013"] == 50.20
 
     def test_empty_after_header(self):
         assert len(load_quotes("quote_date,contract,price\n")) == 0
@@ -64,7 +66,7 @@ class TestLoadQuotes:
             "2012-05-03,Q+1,43.20\n"
             "2012-05-03,Q3-2012,43.25\n"  # same resolved window
         )
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match="line 3: duplicate quote for Q3-2012 on 2012-05-03"):
             load_quotes(csv)
 
     def test_started_delivery_rejected(self):
@@ -74,7 +76,7 @@ class TestLoadQuotes:
 
     def test_relative_code_resolves_per_row(self):
         csv = "quote_date,contract,price\n2013-03-29,Q+1,40.0\n2013-04-01,Q+1,41.0\n"
-        assert [q.period.label for q in load_quotes(csv).quotes] == ["Q2-2013", "Q3-2013"]
+        assert list(load_quotes(csv).prices) == [(date(2013, 3, 29), "Q2-2013"), (date(2013, 4, 1), "Q3-2013")]
 
     def test_started_delivery_names_the_later_row(self):
         csv = (
@@ -111,9 +113,7 @@ class TestLoadQuotes:
     def test_serialization_roundtrip(self):
         table = load_quotes(TABLE_SNAPSHOT)
         again = load_quotes(table.to_csv())
-        assert {(q.quote_date, q.period.label, q.price) for q in again.quotes} == {
-            (q.quote_date, q.period.label, q.price) for q in table.quotes
-        }
+        assert again.prices == table.prices
         assert again.to_csv() == table.to_csv()
 
     def test_date_filter(self):
@@ -126,6 +126,13 @@ class TestLoadQuotes:
         table = load_quotes(csv)
         sub = table.filter_dates(date(2013, 1, 2), date(2013, 1, 3))
         assert len(sub) == 2
+
+    def test_merge_rejects_a_quote_held_by_both_tables(self):
+        table = load_quotes(TABLE_SNAPSHOT)
+        other = QuoteTable({(date(2012, 5, 3), "Q3-2012"): 43.25, (date(2012, 5, 4), "Q3-2012"): 43.3})
+        with pytest.raises(DataError, match="duplicate quote for Q3-2012 on 2012-05-03"):
+            table.merged_with(other)
+        assert len(table.merged_with(other.filter_dates(date(2012, 5, 4), date(2012, 5, 4)))) == 9
 
     def test_stream_source(self):
         import io
@@ -216,3 +223,48 @@ class TestBuildRegressionDataset:
         dataset, _ = build_regression_dataset(market.table)
         result = classical_fit(dataset, constraints_for_weights(weights))
         np.testing.assert_allclose(result.gamma, gamma, atol=1e-8)
+
+
+def _mixed_code_rows():
+    """(date, relative code, absolute label, price) rows quoted in Q4 2013.
+
+    Every date quotes CAL-2014 and its four quarters, plus CAL-2015 alone
+    (one dropped row per date), a month and a day.  2013-11-06 misses
+    Q3-2014, so its CAL-2014 row is dropped too.
+    """
+    rows = []
+    for i, quote_date in enumerate(date(2013, 10, 1) + timedelta(days=9 * n) for n in range(8)):
+        month = date(2013 + quote_date.month // 12, quote_date.month % 12 + 1, 1)
+        codes = [("Y+1", "CAL-2014"), ("Y+2", "CAL-2015"), ("M+1", f"M-{month:%Y-%m}"),
+                 ("D+1", f"D-{quote_date + timedelta(days=1)}")]
+        codes += [(f"Q+{q}", f"Q{q}-2014") for q in range(1, 5)]
+        for j, (relative, absolute) in enumerate(codes):
+            if (quote_date, absolute) != (date(2013, 11, 6), "Q3-2014"):
+                rows.append((quote_date, relative, absolute, f"{40 + i + j / 8 + 1e-3 * i * j:.6g}"))
+    return rows
+
+
+MIXED_ROWS = _mixed_code_rows()
+
+
+def _csv(rows, use_relative):
+    lines = ["quote_date,contract,price"]
+    for (quote_date, relative, absolute, price), rel in zip(rows, use_relative):
+        lines.append(f"{quote_date},{relative if rel else absolute},{price}")
+    return "\n".join(lines) + "\n"
+
+
+@given(data=st.data())
+def test_row_order_and_code_form_leave_the_table_unchanged(data):
+    reference = load_quotes(_csv(MIXED_ROWS, [False] * len(MIXED_ROWS)))
+    ref_dataset, ref_report = build_regression_dataset(reference)
+    rows = data.draw(st.permutations(MIXED_ROWS))
+    use_relative = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    table = load_quotes(_csv(rows, use_relative))
+    assert table.to_csv() == reference.to_csv()
+    dataset, report = build_regression_dataset(table)
+    assert dataset.x.tobytes() == ref_dataset.x.tobytes()
+    assert dataset.y.tobytes() == ref_dataset.y.tobytes()
+    assert dataset.case_ids == ref_dataset.case_ids
+    assert report.as_dict() == ref_report.as_dict()
+    assert (report.n_rows, report.n_dropped) == (7, 9)
