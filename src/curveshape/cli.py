@@ -159,8 +159,6 @@ def _resolve_target_depth(casc, target: str) -> int | None:
 
 
 def _cmd_predict(args) -> int:
-    if not np.isfinite(args.parent_price):
-        raise DataError(f"--parent-price must be finite, not {args.parent_price!r}")
     config = _read_json(args.cascade)
     if args.coeffs:
         pairs = gamma_from_report(_read_json(args.coeffs)).reshape(-1, 2)
@@ -356,6 +354,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():  # a nan or inf slips past the range checks below
+            if isinstance(value, float) and not np.isfinite(value):
+                raise DataError(f"--{name.replace('_', '-')} must be finite, not {value!r}")
         return args.func(args)
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

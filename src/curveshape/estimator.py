@@ -197,7 +197,7 @@ def _initial_weights(
 
 
 def _residual_distances(
-    residuals: np.ndarray, scale_estimator: str
+    r: np.ndarray, scale_estimator: str
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-case distances of robustly centered and scaled residual rows, with the scales.
 
@@ -208,23 +208,20 @@ def _residual_distances(
     arithmetic on the centered columns.  A degenerate scale warns at the
     line that called ``irls_fit``.
     """
-    r = np.asarray(residuals, dtype=float)
-    if r.ndim != 2:
-        raise DataError("residuals must be (N, K)")
     centered = r - _median(r)
     if scale_estimator == "qn":
         scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
     else:
         scales = MAD_CONSISTENCY * _median(np.abs(centered))
-    degenerate = bool(np.any(scales <= 0.0))
-    if degenerate:
-        warnings.warn(
-            "degenerate residual scale in some column; standardized values set to 0",
-            DegenerateScaleWarning,
-            stacklevel=4,
-        )
-    z = np.divide(centered, scales, out=np.zeros_like(centered), where=scales > 0.0)
-    d = np.linalg.norm(z, axis=1) / np.sqrt(r.shape[1])
+    if (scales > 0.0).all():
+        degenerate, z = False, centered / scales
+    else:  # a zero scale is flagged, a NaN one is not; either column standardizes to 0
+        degenerate = bool(np.any(scales <= 0.0))
+        if degenerate:
+            message = "degenerate residual scale in some column; standardized values set to 0"
+            warnings.warn(message, DegenerateScaleWarning, stacklevel=4)
+        z = np.divide(centered, scales, out=np.zeros_like(centered), where=scales > 0.0)
+    d = np.sqrt(np.add.reduce(z * z, axis=1)) / np.sqrt(r.shape[1])  # np.linalg.norm's formula
     return d, scales, degenerate
 
 
@@ -270,7 +267,7 @@ def penalized_wls_solve(
         if not (math.isfinite(gamma[j, 0]) and math.isfinite(gamma[j, 1])):
             raise DataError(f"pinned child {j} needs a finite (A, B), not {pair}")
         r -= h[j] * gamma[j]
-    free = [j for j in range(k) if j not in pins]
+    free = [j for j in range(k) if j not in pins] if pins else slice(None)
     if not free:
         if not np.max(np.abs(r)) <= 1e-9:  # a NaN residual is infeasible too
             raise DataError("infeasible fixing")
@@ -288,10 +285,11 @@ def penalized_wls_solve(
     bound = _EPS * n * (sxx + sw * (1.0 + xbar * xbar))
     if not sw * sxx > bound * bound:
         raise NumericalError("rank-deficient weighted design")
-    yf = ya[:, free]
+    yf = np.asfortranarray(ya[:, free])  # column-major, as a list index makes it: the floats depend on it
     ybar = (w2 @ yf) / sw
     slopes = (w2 * xc) @ (yf - ybar) / sxx
-    beta = np.column_stack([slopes, ybar - slopes * xbar])
+    beta = np.empty((slopes.size, 2))
+    beta[:, 0], beta[:, 1] = slopes, ybar - slopes * xbar
     hf = h[free]
     s0 = hf @ beta - r
     if alpha == 0.0:
@@ -301,7 +299,7 @@ def penalized_wls_solve(
     else:
         gram = np.array([[sxx + sw * xbar**2, sw * xbar], [sw * xbar, sw]])
         correction = np.linalg.solve(gram / alpha + (hf @ hf) * np.eye(2), s0)
-    gamma[free] = beta - np.outer(hf, correction)
+    gamma[free] = beta - hf[:, None] * correction
     return gamma.reshape(-1)
 
 
@@ -352,20 +350,20 @@ def _fit_loop(
     """IRLS from ``start``, the starting weights, x weights and degenerate flag."""
     spec = config.weight_spec
     weights, w_x, degen = start
+    y = np.asfortranarray(dataset.y)  # once per pass, in the layout penalized_wls_solve uses
     intercepts_prev = None
     converged = False
     for iterations in range(1, config.max_iterations + 1):
-        gamma = penalized_wls_solve(dataset.x, dataset.y, weights, system, alpha, fixed)
+        gamma = penalized_wls_solve(dataset.x, y, weights, system, alpha, fixed)
         intercepts = gamma[1::2]
         d_r, scales, degen_r = _residual_distances(
             _residuals(dataset, gamma), config.scale_estimator
         )
         degen = degen or degen_r
         weights = np.sqrt(w_x * spec.weight(d_r))
-        if intercepts_prev is not None:
-            if float(np.max(np.abs(intercepts - intercepts_prev))) < config.tolerance:
-                converged = True
-                break
+        if intercepts_prev is not None and np.abs(intercepts - intercepts_prev).max() < config.tolerance:
+            converged = True
+            break
         intercepts_prev = intercepts
     return _fit_result(
         dataset, system, gamma, weights, scales, alpha,

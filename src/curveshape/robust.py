@@ -281,10 +281,9 @@ def _bisect_columns(y, rows, lo, hi, trial, strict: bool) -> np.ndarray:
 def hampel_weight(x):
     """Redescending three-part weight: 1, a/|x|, linear decay, then 0 beyond r."""
     ax = np.abs(np.asarray(x, dtype=float))
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.minimum(1.0, HAMPEL_A / ax) * np.clip(
-            (HAMPEL_R - ax) / (HAMPEL_R - HAMPEL_B), 0.0, 1.0
-        )
+    # min(1, a/|x|) and the linear decay clipped to [0, 1], with no divide by 0 or overflow
+    decay = (HAMPEL_R - np.minimum(ax, HAMPEL_R)) / (HAMPEL_R - HAMPEL_B)
+    out = HAMPEL_A / np.maximum(ax, HAMPEL_A) * np.minimum(decay, 1.0)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

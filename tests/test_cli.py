@@ -441,17 +441,37 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", ["--level", "--amplitude", "--path-noise", "--noise", "--magnitude", "--parent-price"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--level", "--amplitude", "--path-noise", "--noise", "--magnitude", "--parent-price",
+        "--threshold", "--tol", "--tolerance",
+    ],
+)
 def test_non_finite_number_flag_is_a_data_error(tmp_path, capsys, flag, value):
     out = tmp_path / "out.csv"
     if flag == "--parent-price":
         cascade = tmp_path / "cascade.json"
         cascade.write_text(json.dumps(TestPredict().cascade_config([[1.0, 0.0]] * 4)))
-        argv = ["predict", "--cascade", str(cascade), "--target", "quarter"]
+        argv = ["predict", "--cascade", str(cascade), "--target", "quarter", "--out", str(out)]
+    elif flag in ("--threshold", "--tol", "--tolerance"):
+        # A real desk market and fit, so that only the flag can fail the command:
+        # a nan threshold flagged no case and an inf tol passed any finite gap.
+        split, quotes, fit = tmp_path / "split.json", tmp_path / "quotes.csv", tmp_path / "fit.json"
+        split.write_text(json.dumps(SPLIT_CONFIG))
+        assert main(["simulate", "--out", str(quotes), "--seed", "3", "--n-dates", "60", "--fraction", "0.2"]) == 0
+        files = ["--quotes", str(quotes), "--split", str(split)]
+        assert main(["fit", *files, "--out", str(fit)]) == 0
+        argv = {
+            "--threshold": ["outliers", *files, "--out", str(out)],
+            "--tol": ["check-arbitrage", "--coeffs", str(fit), "--split", str(split)],
+            "--tolerance": ["fit", *files, "--out", str(out)],
+        }[flag]
     else:
-        argv = ["simulate", "--n-dates", "20"]
-    assert main([*argv, f"{flag}={value}", "--out", str(out)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+        argv = ["simulate", "--n-dates", "20", "--out", str(out)]
+    assert main([*argv, f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and "arbitrage gap" not in captured.out
     assert not out.exists()
 
 

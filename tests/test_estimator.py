@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import arbitrage_free_gamma, synthetic_dataset
+from conftest import EQUAL_WEIGHTS, arbitrage_free_gamma, synthetic_dataset
 from curveshape import (
     Dataset,
     FitConfig,
+    SyntheticMarketConfig,
     WeightFunctionSpec,
+    build_regression_dataset,
     classical_fit,
     constraints_for_weights,
     irls_fit,
     outlier_report,
     penalized_wls_solve,
+    synthesize_market,
 )
+from curveshape import estimator
 from curveshape.baselines import ratio_average_result
+from curveshape.constraints import arbitrage_gap
 from curveshape.estimator import (
     FEASIBILITY_TOLERANCE,
     _initial_weights,
@@ -23,7 +28,7 @@ from curveshape.estimator import (
     gamma_from_report,
 )
 from curveshape.exceptions import DataError, DegenerateScaleWarning, NumericalError
-from curveshape.robust import mad_scale
+from curveshape.robust import BISQUARE_K, HAMPEL_A, HAMPEL_B, HAMPEL_R, MAD_CONSISTENCY, mad_scale, qn_scale
 
 
 def initial_weights(dataset):
@@ -530,3 +535,213 @@ def test_qn_scale_estimator_option(rng, equal_weight_system):
     result = irls_fit(ds, equal_weight_system, FitConfig(scale_estimator="qn"))
     assert result.converged
     assert np.all(result.residual_scales > 0)
+
+
+def reference_weight(kind: str, x: np.ndarray) -> np.ndarray:
+    ax = np.abs(x)
+    if kind == "bisquare":
+        return (1.0 - np.minimum(ax / BISQUARE_K, 1.0) ** 2) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.minimum(1.0, HAMPEL_A / ax) * np.clip((HAMPEL_R - ax) / (HAMPEL_R - HAMPEL_B), 0.0, 1.0)
+
+
+def reference_solve(x, y, w, h, alpha, fixed):
+    """The closed-form solve written plainly: free columns by list index, column_stack, np.outer."""
+    k = y.shape[1]
+    gamma, r = np.empty((k, 2)), np.array([1.0, 0.0])
+    for j, pair in fixed.items():
+        gamma[j] = pair
+        r -= h[j] * gamma[j]
+    free = [j for j in range(k) if j not in fixed]
+    w2 = w**2
+    sw = float(w2.sum())
+    xbar = float(w2 @ x) / sw
+    xc = x - xbar
+    sxx = float(w2 @ xc**2)
+    yf = y[:, free]
+    ybar = (w2 @ yf) / sw
+    slopes = (w2 * xc) @ (yf - ybar) / sxx
+    beta = np.column_stack([slopes, ybar - slopes * xbar])
+    hf = h[free]
+    s0 = hf @ beta - r
+    if alpha == 0.0:
+        correction = np.zeros(2)
+    elif np.isinf(alpha):
+        correction = s0 / (hf @ hf)
+    else:
+        gram = np.array([[sxx + sw * xbar**2, sw * xbar], [sw * xbar, sw]])
+        correction = np.linalg.solve(gram / alpha + (hf @ hf) * np.eye(2), s0)
+    gamma[free] = beta - np.outer(hf, correction)
+    return gamma.reshape(-1)
+
+
+def reference_distances(r, scale_estimator: str = "mad"):
+    centered = r - np.median(r, axis=0)
+    if scale_estimator == "qn":
+        scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
+    else:
+        scales = MAD_CONSISTENCY * np.median(np.abs(centered), axis=0)
+    z = np.divide(centered, scales, out=np.zeros_like(centered), where=scales > 0.0)
+    return np.linalg.norm(z, axis=1) / np.sqrt(r.shape[1]), scales
+
+
+def reference_fit(dataset, system, config, fixed=None):
+    """The IRLS iteration written out plainly, with numpy's median and norm: irls_fit's oracle.
+
+    Returns (gamma, weights, scales, iterations, gap, alpha) of the pass the fit keeps.
+    """
+    x, y, h, kind = dataset.x, dataset.y, system.weights, config.weight_spec.kind
+    c = 1.0 if config.alpha_multiplier == "auto" else float(config.alpha_multiplier)
+    alpha = c * dataset.n_cases * qn_scale(y.ravel())
+    row_norms = np.linalg.norm(y - np.median(y, axis=0), axis=1)
+    dev_x = np.abs(x - np.median(x))
+    w_x = reference_weight(kind, dev_x / (MAD_CONSISTENCY * np.median(dev_x)))
+    start = np.sqrt(w_x * reference_weight(kind, row_norms / np.median(row_norms)))
+
+    def one_pass(alpha):
+        weights, previous = start, None
+        for iterations in range(1, config.max_iterations + 1):
+            gamma = reference_solve(x, y, weights, h, alpha, fixed or {})
+            d, scales = reference_distances(y - x[:, None] * gamma[0::2] - gamma[1::2], config.scale_estimator)
+            weights = np.sqrt(w_x * reference_weight(kind, d))
+            if previous is not None and float(np.max(np.abs(gamma[1::2] - previous))) < config.tolerance:
+                break
+            previous = gamma[1::2]
+        return gamma, weights, scales, iterations, arbitrage_gap(system, gamma), alpha
+
+    kept = one_pass(alpha)
+    if config.feasibility_retry and not kept[4] <= FEASIBILITY_TOLERANCE:
+        kept = one_pass(np.inf)
+    return kept
+
+
+def desk_dataset(seed: int, n_dates: int = 250) -> Dataset:
+    """CAL -> 4 quarters at price level 50 with 20% vertical outliers of size 10."""
+    truth = arbitrage_free_gamma(np.random.default_rng(seed), 4)
+    config = SyntheticMarketConfig(
+        true_gamma=truth,
+        weights=EQUAL_WEIGHTS,
+        n_dates=n_dates,
+        contamination_fraction=0.2,
+        outlier_magnitude=10.0,
+        seed=seed,
+    )
+    return build_regression_dataset(synthesize_market(config).table)[0]
+
+
+def centered_dataset(seed: int) -> Dataset:
+    """Prices centered on 0 with noise in the constraints' null space: the penalized pass is kept."""
+    rng = np.random.default_rng(seed)
+    return synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=150, x_level=0.0, null_space_noise=True)
+
+
+def hourly_dataset(seed: int, n_days: int = 200) -> Dataset:
+    """Day -> 24 hours around 50, one hour of every tenth day spiked by 20 to 60."""
+    rng = np.random.default_rng(seed)
+    ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 24), n=n_days, weights=np.full(24, 1 / 24))
+    y = ds.y.copy()
+    spiked = rng.choice(n_days, n_days // 10, replace=False)
+    y[spiked, rng.integers(0, 24, spiked.size)] += rng.uniform(20.0, 60.0, spiked.size)
+    return Dataset(x=ds.x, y=y)
+
+
+class TestReferenceIteration:
+    """irls_fit gives the plainly written iteration's floats, bit for bit."""
+
+    CASES = {
+        "desk-fallback": (lambda: desk_dataset(1), 4, FitConfig(), None),
+        "centered-penalized": (lambda: centered_dataset(2), 4, FitConfig(), None),
+        "hourly-k24": (lambda: hourly_dataset(4), 24, FitConfig(), None),
+        "pinned-child": (lambda: desk_dataset(5), 4, FitConfig(), {1: (0.9, 1.25)}),
+        "bisquare": (lambda: desk_dataset(6), 4, FitConfig(weight_spec=WeightFunctionSpec("bisquare")), None),
+        "qn-scales": (lambda: desk_dataset(7, 120), 4, FitConfig(scale_estimator="qn"), None),
+        "finite-c-no-retry": (
+            lambda: desk_dataset(8), 4, FitConfig(alpha_multiplier=1e6, feasibility_retry=False), None
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_reference(self, case):
+        make, k, config, fixed = self.CASES[case]
+        ds = make()
+        system = constraints_for_weights(np.full(k, 1.0 / k))
+        result = irls_fit(ds, system, config, fixed)
+        gamma, weights, scales, iterations, gap, alpha = reference_fit(ds, system, config, fixed)
+        assert np.array_equal(result.gamma, gamma)
+        assert np.array_equal(result.case_weights, weights)
+        assert np.array_equal(result.residual_scales, scales)
+        assert (result.iterations, result.arbitrage_gap_maxabs, result.alpha_used) == (iterations, gap, alpha)
+        # each case runs the pass it names
+        if case in ("desk-fallback", "hourly-k24"):
+            assert np.isinf(result.alpha_used)
+        if case in ("centered-penalized", "finite-c-no-retry"):
+            assert np.isfinite(result.alpha_used) and result.alpha_used > 0
+        if fixed:
+            assert tuple(result.gamma[2:4]) == fixed[1]
+
+    @pytest.mark.parametrize("shape", [(300, 4), (301, 4), (365, 24)])
+    def test_distances_match_reference(self, shape):
+        # Most hourly distances sit where Hampel's weight is flat, so a fit
+        # alone would not show a distance one rounding off.
+        rng = np.random.default_rng(shape[0])
+        r = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[1]) + 50.0
+        r[rng.random(shape) < 0.1] += 30.0
+        d, scales, degenerate = _residual_distances(r, "mad")
+        expected_d, expected_scales = reference_distances(r)
+        assert np.array_equal(d, expected_d) and np.array_equal(scales, expected_scales) and not degenerate
+
+    def test_zero_and_nan_scales_standardize_to_zero(self):
+        r = np.random.default_rng(14).standard_normal((40, 3))
+        r[5, 2] = np.nan  # a NaN residual gives a NaN scale, which is not flagged
+        d, scales, degenerate = _residual_distances(r, "mad")
+        assert np.isnan(scales[2]) and not degenerate
+        assert np.array_equal(d, reference_distances(r)[0]) and np.isfinite(d).all()
+        r[:, 1] = 7.0  # a zero scale is
+        with pytest.warns(DegenerateScaleWarning):
+            d, scales, degenerate = _residual_distances(r, "mad")
+        assert scales[1] == 0.0 and degenerate
+        assert np.array_equal(d, reference_distances(r)[0]) and np.isfinite(d).all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 250.0, np.inf])
+    @pytest.mark.parametrize("fixed", [None, {}])
+    def test_solve_floats_do_not_depend_on_the_layout_of_y(self, alpha, fixed):
+        ds = desk_dataset(9)
+        system = constraints_for_weights(EQUAL_WEIGHTS)
+        w = np.random.default_rng(10).uniform(0.0, 1.0, ds.n_cases)
+        c_order = penalized_wls_solve(ds.x, ds.y, w, system, alpha, fixed)
+        f_order = penalized_wls_solve(ds.x, np.asfortranarray(ds.y), w, system, alpha, fixed)
+        assert ds.y.flags.c_contiguous and not ds.y.flags.f_contiguous
+        assert np.array_equal(c_order, f_order)
+        assert np.array_equal(c_order, reference_solve(ds.x, ds.y, w, system.weights, alpha, {}))
+
+
+class TestOneSolvePerIteration:
+    """Each IRLS iteration calls the module's solve and the weight function once.
+
+    The benchmark's tracer wraps both at these names and reads its
+    useful-solve ratio off the counts.
+    """
+
+    @pytest.mark.parametrize(
+        "make,config",
+        [(lambda: centered_dataset(11), FitConfig()), (lambda: desk_dataset(13), FitConfig(feasibility_retry=False))],
+        ids=["centered", "no-retry"],
+    )
+    def test_counts(self, monkeypatch, equal_weight_system, make, config):
+        solves, weights = [], []
+        solve, weight = estimator.penalized_wls_solve, WeightFunctionSpec.weight
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def counting_weight(spec, x):
+            weights.append(1)
+            return weight(spec, x)
+
+        monkeypatch.setattr(estimator, "penalized_wls_solve", counting_solve)
+        monkeypatch.setattr(WeightFunctionSpec, "weight", counting_weight)
+        result = irls_fit(make(), equal_weight_system, config)
+        assert np.isfinite(result.alpha_used) and result.iterations > 1  # one pass of several iterations
+        assert len(solves) == result.iterations
+        assert len(weights) == result.iterations + 2  # and once each for the x and y start weights

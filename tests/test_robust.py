@@ -1,6 +1,8 @@
 """Tests for the robust scalar kernels."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -503,6 +505,60 @@ class TestSelectFreeWeights:
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     def test_finite_floats(self, weight, reference, cutoffs, x):
         assert weight(x) == reference(x)
+
+
+def hampel_closed_form(v: float) -> float:
+    """Hampel's weight one piece at a time, in Python floats."""
+    a, b, r = HAMPEL_A, HAMPEL_B, HAMPEL_R
+    ax = abs(v)
+    if math.isnan(ax):
+        return math.nan
+    if ax <= a:
+        return 1.0
+    if ax <= b:
+        return a / ax
+    if ax <= r:
+        return (a / ax) * ((r - ax) / (r - b))
+    return 0.0
+
+
+def bisquare_closed_form(v: float) -> float:
+    """(1 - (x/k)^2)^2 inside the cutoff and 0 outside, in Python floats."""
+    ax = abs(v)
+    if math.isnan(ax):
+        return math.nan
+    if ax > BISQUARE_K:
+        return 0.0
+    u = ax / BISQUARE_K
+    return (1.0 - u * u) * (1.0 - u * u)
+
+
+def float_bits(values) -> list[int]:
+    """The IEEE bit patterns, signed zeros apart and every NaN as one pattern."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).view(np.int64).tolist()
+
+
+class TestClosedForms:
+    """Bit for bit against the piecewise definitions, and warning-free, at the edges."""
+
+    GRID = [0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan] + [
+        point
+        for c in (HAMPEL_A, -HAMPEL_A, HAMPEL_B, HAMPEL_R, BISQUARE_K)
+        for point in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf))
+    ]
+
+    @pytest.mark.parametrize(
+        "weight,closed_form", [(hampel_weight, hampel_closed_form), (bisquare_weight, bisquare_closed_form)]
+    )
+    def test_edge_grid(self, weight, closed_form):
+        expected = float_bits([closed_form(v) for v in self.GRID])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array_out = weight(np.array(self.GRID))
+            scalar_out = [weight(v) for v in self.GRID]
+        assert float_bits(array_out) == expected
+        assert float_bits(scalar_out) == expected
 
 
 class TestBisquare:
