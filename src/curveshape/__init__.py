@@ -14,7 +14,6 @@ from .backtest import (
     compute_metrics,
     synthesize_market,
 )
-from .baselines import ratio_average_fit, rescale_to_no_arbitrage
 from .constraints import (
     ConstraintSystem,
     GranularitySplit,
@@ -31,6 +30,8 @@ from .estimator import (
     irls_fit,
     outlier_report,
     penalized_wls_solve,
+    ratio_average_fit,
+    rescale_to_no_arbitrage,
 )
 from .exceptions import CurveShapeError, DataError, DegenerateScaleWarning, NumericalError
 from .market import QuoteTable, build_regression_dataset, load_quotes

@@ -8,9 +8,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .baselines import ratio_average_result
 from .constraints import ConstraintSystem, arbitrage_gap, constraints_for_weights
-from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit
+from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
 from .exceptions import DataError
 from .market import QuoteTable, build_regression_dataset
 from .periods import period_children, year_period
@@ -130,13 +129,15 @@ class SyntheticMarket:
         return [f"{d.isoformat()}|{parent}" for d in self.table.dates()]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a price that overflows raises DataError instead
 def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     """Deterministic synthetic quotes from a known arbitrage-free gamma.
 
     The parent price follows the configured path; children are the affine
     map of the parent plus column noise.  A seeded fraction of rows is
     contaminated: vertical outliers push one child by magnitude x column
-    scale, leverage points multiply the parent quote itself.
+    scale, leverage points multiply the parent quote itself.  Finite
+    parameters whose prices overflow a float raise ``DataError``.
     """
     rng_path = np.random.default_rng([config.seed, 0])
     rng_noise = np.random.default_rng([config.seed, 1])
@@ -174,6 +175,8 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     else:
         for row in bad_rows:
             x[row] *= config.outlier_magnitude
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("synthetic prices overflow a float")
 
     parent = year_period(config.delivery_year)
     children = period_children(parent, "quarter")
@@ -257,6 +260,8 @@ def backtest(
     is slower but tracks regime changes.  Train set, test set and windows
     are row slices of one dataset built over both ranges.
     """
+    if not methods:
+        raise DataError("no methods to backtest")
     first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
     # Case ids lead with the ISO quote date, and the rows are sorted by it.

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import date
 from pathlib import Path
@@ -22,13 +23,15 @@ from .backtest import (
     fit_method,
     synthesize_market,
 )
-from .constraints import FEASIBILITY_TOLERANCE, arbitrage_gap, constraints_for_weights, split_from_config
+from .constraints import (
+    FEASIBILITY_TOLERANCE, arbitrage_gap, constraints_for_weights, split_from_config, split_to_config,
+)
 from .estimator import FitConfig, gamma_from_report, irls_fit, outlier_report
 from .exceptions import CurveShapeError, DataError, NumericalError
 from .market import build_regression_dataset, load_quotes
 from .periods import parse_period_label
 from .robust import WeightFunctionSpec
-from .shaping import cascade, cascade_from_config, leaf_window, shape_curve
+from .shaping import DAY_TYPES, cascade, cascade_from_config, leaf_window, shape_curve
 
 _GRANULARITY_DEPTH_NAMES = ("quarter", "month", "day", "hour")
 
@@ -99,19 +102,15 @@ def _fit_config(args) -> FitConfig:
 
 
 def _load_split_and_system(path: str):
+    """The split config at ``path``, its constraint system, and its parent and child kinds."""
     split = split_from_config(_read_json(path))
     system = constraints_for_weights(split.weights)
-    kinds = _split_kinds(split)
-    return split, system, kinds
-
-
-def _split_kinds(split) -> tuple[str, str]:
     try:
         parent = parse_period_label(split.parent_label)
         children = [parse_period_label(c) for c in split.child_labels]
     except DataError:
         raise DataError("split config must name resolvable parent and child periods") from None
-    return parent.kind, children[0].kind
+    return split, system, (parent.kind, children[0].kind)
 
 
 def _cmd_fit(args) -> int:
@@ -121,28 +120,23 @@ def _cmd_fit(args) -> int:
     result = fit_method(args.method, dataset, system, _fit_config(args))
     report = result.to_report()
     report["completeness"] = completeness.as_dict()
-    report["split"] = {
-        "parent": split.parent_label,
-        "children": list(split.child_labels),
-        "weights": [float(w) for w in split.weights],
-    }
+    report["split"] = split_to_config(split)
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
 def _level_granularity(level_map) -> str | None:
     """Granularity of a level's children, tolerating day-type / hour suffixes."""
-    for level in level_map.values():
-        label = level.split.child_labels[0]
-        if label.split(":")[-1].startswith("H") and ":" in label:
-            return "hour"
-        if label.split(":")[-1] in ("WD", "SAT", "SUN"):
-            return "day"
-        try:
-            return parse_period_label(label).kind
-        except DataError:
-            return None
-    return None
+    label = next(iter(level_map.values())).split.child_labels[0]
+    suffix = label.split(":")[-1]
+    if ":" in label and suffix.startswith("H"):
+        return "hour"
+    if suffix in DAY_TYPES:
+        return "day"
+    try:
+        return parse_period_label(label).kind
+    except DataError:
+        return None
 
 
 def _resolve_target_depth(casc, target: str) -> int | None:
@@ -170,20 +164,20 @@ def _cmd_predict(args) -> int:
                 if isinstance(split_cfg, dict) and split_cfg.get("coefficients") is None:
                     split_cfg["coefficients"] = pairs
     casc = cascade_from_config(config)
-    target = args.target
+    target, override = args.target, args.override_arbitrage
     depth = _resolve_target_depth(casc, target)
-    if depth is None:
-        # a specific period label: emit the single chained price
-        price = cascade(args.parent_price, casc, target, override=args.override_arbitrage)
-        start, end = leaf_window(target)
-        _write_text(args.out, "label,period_start,period_end,weight,price\n"
-                    f"{target},{start},{end},,{price!r}\n")
-        return 0
-    leaves = shape_curve(args.parent_price, casc, depth, override=args.override_arbitrage)
+    with np.errstate(over="ignore", invalid="ignore"):  # a price that overflows exits 3 below
+        if depth is None:  # a specific period label: the single chained price, with no weight
+            rows = [(target, "", cascade(args.parent_price, casc, target, override=override))]
+        else:
+            leaves = shape_curve(args.parent_price, casc, depth, override)
+            rows = [(label, repr(weight), price) for label, weight, price in leaves]
+    if not all(math.isfinite(price) for _, _, price in rows):
+        raise NumericalError("a shaped price overflowed to a non-finite value")
     lines = ["label,period_start,period_end,weight,price"]
-    for label, weight, price in leaves:
+    for label, weight, price in rows:
         start, end = leaf_window(label)
-        lines.append(f"{label},{start},{end},{weight!r},{price!r}")
+        lines.append(f"{label},{start},{end},{weight},{price!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -248,13 +242,18 @@ def _cmd_simulate(args) -> int:
         gamma = np.asarray(gamma_file["gamma"], dtype=float)
     else:
         gamma = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
+    start, delivery = _parse_date(args.start_date), date(args.year, 1, 1)
+    if args.n_dates - 1 > (delivery - start).days:  # the rule load_quotes holds each row to
+        raise DataError(
+            f"{args.n_dates} quote dates from {start} run past {delivery}, when CAL-{args.year} delivery starts"
+        )
     k = gamma.size // 2
     weights = np.full(k, 1.0 / k)
     config = SyntheticMarketConfig(
         true_gamma=gamma,
         weights=weights,
         n_dates=args.n_dates,
-        start=_parse_date(args.start_date),
+        start=start,
         delivery_year=args.year,
         x_path=XPathParams(level=args.level, seasonal_amplitude=args.amplitude, noise=args.path_noise),
         noise_scale=args.noise,
@@ -276,6 +275,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fit_flags(p):
+        p.add_argument("--quotes", required=True)
+        p.add_argument("--split", required=True, help="split config JSON")
+        p.add_argument("--out", default=None)
         p.add_argument("--alpha", default="AUTO", help="penalty multiplier c (alpha = c*N*Qn(Y)) or AUTO")
         p.add_argument("--weight-fn", choices=("hampel", "bisquare"), default="hampel")
         p.add_argument("--scale", choices=("mad", "qn"), default="mad")
@@ -283,11 +285,8 @@ def build_parser() -> _Parser:
         p.add_argument("--max-iterations", type=int, default=100)
 
     p_fit = sub.add_parser("fit", help="estimate shaping coefficients from quotes")
-    p_fit.add_argument("--quotes", required=True)
-    p_fit.add_argument("--split", required=True, help="split config JSON")
     p_fit.add_argument("--method", choices=METHOD_NAMES, default="mcrm")
     add_fit_flags(p_fit)
-    p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_pred = sub.add_parser("predict", help="shape a parent price down a cascade")
@@ -300,8 +299,6 @@ def build_parser() -> _Parser:
     p_pred.set_defaults(func=_cmd_predict)
 
     p_back = sub.add_parser("backtest", help="compare methods in and out of sample")
-    p_back.add_argument("--quotes", required=True)
-    p_back.add_argument("--split", required=True)
     p_back.add_argument("--train", required=True, help="ISO range START:END")
     p_back.add_argument("--test", required=True, help="ISO range START:END")
     p_back.add_argument("--methods", default="mcrm,classical")
@@ -310,15 +307,11 @@ def build_parser() -> _Parser:
         help="re-fit on an expanding window for each out-of-sample date instead of freezing coefficients",
     )
     add_fit_flags(p_back)
-    p_back.add_argument("--out", default=None)
     p_back.set_defaults(func=_cmd_backtest)
 
     p_out = sub.add_parser("outliers", help="fit robustly and export flagged cases")
-    p_out.add_argument("--quotes", required=True)
-    p_out.add_argument("--split", required=True)
     p_out.add_argument("--threshold", type=float, default=0.6)
     add_fit_flags(p_out)
-    p_out.add_argument("--out", default=None)
     p_out.set_defaults(func=_cmd_outliers)
 
     p_chk = sub.add_parser("check-arbitrage", help="verify a coefficient report against a split")
@@ -358,13 +351,10 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not np.isfinite(value):
                 raise DataError(f"--{name.replace('_', '-')} must be finite, not {value!r}")
         return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except np.linalg.LinAlgError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except (DataError, CurveShapeError, ValueError) as exc:
+    except (CurveShapeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -149,3 +149,12 @@ def split_from_config(config: dict) -> GranularitySplit:
     parent = parse_period_label(parent_label)
     children = [parse_period_label(c) for c in child_labels]
     return build_split(parent, children)
+
+
+def split_to_config(split: GranularitySplit) -> dict:
+    """The config block ``split_from_config`` reads back as ``split``."""
+    return {
+        "parent": split.parent_label,
+        "children": list(split.child_labels),
+        "weights": [float(w) for w in split.weights],
+    }

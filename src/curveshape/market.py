@@ -10,6 +10,7 @@ row's quote date and stored absolutely.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -18,9 +19,7 @@ import numpy as np
 
 from .estimator import Dataset
 from .exceptions import DataError
-from .periods import (
-    ContractCode, Period, parse_contract, parse_period_label, period_children, resolve_relative,
-)
+from .periods import Period, parse_contract, parse_period_label, period_children
 
 CSV_HEADER = "quote_date,contract,price"
 
@@ -80,7 +79,7 @@ def load_quotes(source) -> QuoteTable:
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
     prices: dict[tuple[date, str], float] = {}
-    codes: dict[str, ContractCode] = {}
+    resolvers: dict[str, Callable[[date], Period]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -99,10 +98,9 @@ def load_quotes(source) -> QuoteTable:
         if not math.isfinite(price):
             raise DataError(f"line {lineno}: non-finite price")
         try:
-            code = codes.get(raw_contract)
-            if code is None:
-                code = codes[raw_contract] = parse_contract(raw_contract)
-            period = resolve_relative(code, quote_date)
+            if raw_contract not in resolvers:
+                resolvers[raw_contract] = parse_contract(raw_contract)
+            period = resolvers[raw_contract](quote_date)
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
         if period.start.date() < quote_date:

@@ -9,9 +9,10 @@ absolute periods.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from functools import cached_property
+from functools import cached_property, partial
 
 from .exceptions import DataError
 
@@ -55,13 +56,6 @@ class Period:
             return f"D-{s.date().isoformat()}"
         return f"H-{s.date().isoformat()}-{s.hour:02d}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.label
-
-
-def _month_start(year: int, month: int) -> datetime:
-    return datetime(year, month, 1)
-
 
 def _add_months(year: int, month: int, n: int) -> tuple[int, int]:
     m = (month - 1) + n
@@ -77,12 +71,12 @@ def quarter_period(year: int, quarter: int) -> Period:
         raise DataError(f"invalid quarter number: {quarter}")
     m = _QUARTER_START_MONTH[quarter]
     ey, em = _add_months(year, m, 3)
-    return Period(_month_start(year, m), _month_start(ey, em), "quarter")
+    return Period(datetime(year, m, 1), datetime(ey, em, 1), "quarter")
 
 
 def month_period(year: int, month: int) -> Period:
     ey, em = _add_months(year, month, 1)
-    return Period(_month_start(year, month), _month_start(ey, em), "month")
+    return Period(datetime(year, month, 1), datetime(ey, em, 1), "month")
 
 
 def week_period(monday: date) -> Period:
@@ -164,46 +158,22 @@ def period_children(parent: Period, child_kind: str) -> list[Period]:
     raise DataError(f"unsupported split {parent.kind!r} -> {child_kind!r}")
 
 
-@dataclass(frozen=True)
-class ContractCode:
-    """Either a relative code (kind + offset) or an absolute period."""
-
-    offset: int | None = None
-    rel_kind: str | None = None
-    period: Period | None = None
-
-    @property
-    def is_relative(self) -> bool:
-        return self.offset is not None
-
-
-def parse_contract(code: str) -> ContractCode:
-    """Parse a contract code, relative (``Q+1``) or absolute (``Q3-2012``)."""
+def parse_contract(code: str) -> Callable[[date], Period]:
+    """Parse a contract code, relative (``Q+1``) or absolute (``Q3-2012``),
+    into the function that resolves it against a quote date."""
     code = code.strip()
     m = _RELATIVE_RE.fullmatch(code)
-    if m:
-        offset = int(m.group(2))
-        if offset < 1:
-            raise DataError(f"relative offset must be >= 1: {code!r}")
-        return ContractCode(offset=offset, rel_kind=m.group(1))
-    return ContractCode(period=parse_period_label(code))
+    if m is None:
+        period = parse_period_label(code)
+        return lambda quote_date: period
+    offset = int(m.group(2))
+    if offset < 1:
+        raise DataError(f"relative offset must be >= 1: {code!r}")
+    return partial(_relative_period, m.group(1), offset)
 
 
-def resolve_relative(code: ContractCode | str, quote_date: date) -> Period:
-    """Resolve a contract code to its absolute delivery period.
-
-    Relative month/quarter/year codes skip the period containing the quote
-    date (a quote cannot reference an already-started delivery).  Weeks
-    start Monday, weekends are Saturday-Sunday.  Resolving an absolute code
-    returns its period unchanged.
-    """
-    if isinstance(code, str):
-        code = parse_contract(code)
-    if not code.is_relative:
-        assert code.period is not None
-        return code.period
-    n = code.offset
-    kind = code.rel_kind
+def _relative_period(kind: str, n: int, quote_date: date) -> Period:
+    """The ``n``-th delivery period of ``kind`` (D, WE, W, M, Q or Y) after ``quote_date``."""
     if kind == "D":
         return day_period(quote_date + timedelta(days=n))
     if kind == "WE":
@@ -220,6 +190,15 @@ def resolve_relative(code: ContractCode | str, quote_date: date) -> Period:
         q0 = (quote_date.month - 1) // 3
         y, m = _add_months(quote_date.year, 3 * q0 + 1, 3 * n)
         return quarter_period(y, (m - 1) // 3 + 1)
-    if kind == "Y":
-        return year_period(quote_date.year + n)
-    raise DataError(f"unknown relative kind: {kind!r}")
+    return year_period(quote_date.year + n)
+
+
+def resolve_relative(code: str, quote_date: date) -> Period:
+    """Resolve a contract code to its absolute delivery period.
+
+    Relative month/quarter/year codes skip the period containing the quote
+    date (a quote cannot reference an already-started delivery).  Weeks
+    start Monday, weekends are Saturday-Sunday.  Resolving an absolute code
+    returns its period unchanged.
+    """
+    return parse_contract(code)(quote_date)

@@ -22,6 +22,7 @@ from .constraints import (
     arbitrage_gap,
     constraints_for_weights,
     split_from_config,
+    split_to_config,
 )
 from .estimator import Dataset, FitConfig, FitResult, irls_fit
 from .exceptions import DataError
@@ -32,7 +33,7 @@ DAY_TYPES = ("WD", "SAT", "SUN")
 
 @dataclass(frozen=True)
 class ShapingLevel:
-    """One split with a read-only copy of its fitted coefficient pairs.
+    """One split with a read-only copy of its finite fitted coefficient pairs.
 
     ``max_gap``, their ``arbitrage_gap`` under the split's read-only weights, is computed once.
     """
@@ -46,6 +47,8 @@ class ShapingLevel:
         if coeffs.shape != (self.split.n_children, 2):
             k, label = self.split.n_children, self.split.parent_label
             raise DataError(f"split {label!r} needs ({k}, 2) pairs (A_k, B_k), not {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise DataError(f"split {self.split.parent_label!r} has non-finite pairs (A_k, B_k)")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         gap = arbitrage_gap(constraints_for_weights(self.split.weights), coeffs.reshape(-1))
@@ -69,8 +72,9 @@ def apply_level(parent_price: float, level: ShapingLevel, override: bool = False
 class ShapingCascade:
     """Ordered levels, each mapping parent labels to their shaping level.
 
-    Construction records each label's owner: the first split, scanning
-    levels in order, that lists it as a child.
+    Every level is filed under its split's parent label.  Construction
+    records each label's owner: the first split, scanning levels in order,
+    that lists it as a child.
     """
 
     root: str
@@ -87,6 +91,9 @@ class ShapingCascade:
                 raise DataError(f"level {name!r} is not chained to the cascade root")
             reachable = set()
             for parent_label, level in level_map.items():
+                if level.split.parent_label != parent_label:
+                    shapes = level.split.parent_label
+                    raise DataError(f"level for {shapes!r} is filed under {parent_label!r}")
                 for j, child in enumerate(level.split.child_labels):
                     self._owners.setdefault(child, (i, parent_label, j))
                 reachable.update(level.split.child_labels)
@@ -170,32 +177,26 @@ def recalibrate_with_traded(
     dataset: Dataset,
     system: ConstraintSystem,
     config: FitConfig | None = None,
-    fixed: dict[int, tuple[float, float]] | None = None,
     market_match: MarketMatch | None = None,
     prior: FitResult | None = None,
 ) -> FitResult:
-    """Re-fit with some children pinned to traded coefficients.
+    """Re-fit with one child pinned to a freshly traded price.
 
-    ``fixed`` maps child index -> (A, B).  ``market_match`` instead derives
-    the pinned pair from a traded child price and the current parent quote,
-    keeping the intercept from ``prior``.  The remaining
-    coefficients are re-estimated robustly by one ``irls_fit``, which
-    returns the pinned pairs exactly and, when its penalized fit misses the
-    feasibility tolerance, falls back to the exact equality-constrained
-    limit.  A full pinning that breaks the equalities raises ``DataError``.
+    ``market_match`` derives the pinned pair from the traded child price and
+    the current parent quote, keeping the intercept from ``prior``.  The
+    remaining coefficients are re-estimated robustly by one ``irls_fit``,
+    which returns the pinned pair exactly and, when its penalized fit misses
+    the feasibility tolerance, falls back to the exact equality-constrained
+    limit.
     """
-    pins = {child: (float(a_k), float(b_k)) for child, (a_k, b_k) in (fixed or {}).items()}
-    if market_match is not None:
-        j = market_match.child_index
-        if not (isinstance(j, numbers.Integral) and 0 <= j < system.weights.size):
-            raise DataError(f"market match child {j!r} is not in [0, {system.weights.size})")
-        if j in pins:
-            raise DataError(f"child {j} pinned twice")
-        if prior is None:
-            raise DataError("market matching needs the prior fit")
-        b_j = float(prior.gamma[2 * j + 1])
-        pins[j] = ((market_match.traded_price - b_j) / market_match.parent_quote, b_j)
-    return irls_fit(dataset, system, config, fixed=pins)
+    if market_match is None or prior is None:
+        raise DataError("recalibration needs a market match and the prior fit")
+    j = market_match.child_index
+    if not (isinstance(j, numbers.Integral) and 0 <= j < system.weights.size):
+        raise DataError(f"market match child {j!r} is not in [0, {system.weights.size})")
+    b_j = float(prior.gamma[2 * j + 1])
+    pinned = ((market_match.traded_price - b_j) / market_match.parent_quote, b_j)
+    return irls_fit(dataset, system, config, fixed={j: pinned})
 
 
 def daytype_split(month: Period) -> GranularitySplit:
@@ -268,16 +269,10 @@ def cascade_from_config(config: dict) -> ShapingCascade:
 def cascade_to_config(casc: ShapingCascade) -> dict:
     out = {"root": casc.root, "levels": []}
     for name, level_map in zip(casc.level_names, casc.levels):
-        splits = []
-        for parent_label, level in level_map.items():
-            splits.append(
-                {
-                    "parent": parent_label,
-                    "children": list(level.split.child_labels),
-                    "weights": [float(w) for w in level.split.weights],
-                    "coefficients": [[float(a), float(b)] for a, b in level.coefficients],
-                }
-            )
+        splits = [
+            {**split_to_config(level.split), "coefficients": level.coefficients.tolist()}
+            for level in level_map.values()
+        ]
         out["levels"].append({"name": name, "splits": splits})
     return out
 

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -136,6 +137,21 @@ class TestSynthesizeMarket:
         weight_by_id = dict(zip(result.case_ids, result.case_weights))
         assert np.mean([weight_by_id[c] for c in market.contaminated_ids]) < 0.1
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(noise_scale=1e308),
+            dict(outlier_magnitude=1e308, contamination_type="leverage", contamination_fraction=0.1),
+            dict(x_path=XPathParams(level=1e308, seasonal_amplitude=1e308)),
+        ],
+    )
+    def test_overflowing_prices_raise_without_warning(self, params):
+        config = SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, n_dates=40, **params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflow"):
+                synthesize_market(config)
+
     def test_invariants_enforced(self):
         with pytest.raises(DataError, match="non-arbitrage"):
             SyntheticMarketConfig(true_gamma=np.array([1.5, 0.0] * 4), weights=W4)
@@ -238,6 +254,11 @@ class TestBacktest:
         merged, _, _, tr, te = _merged_train_test(seed=55, n_train=30, n_test=10)
         with pytest.raises(DataError, match="unknown method"):
             backtest(merged, tr, te, ["theil-sen"], constraints_for_weights(W4))
+
+    def test_empty_method_list(self):
+        merged, _, _, tr, te = _merged_train_test(seed=55, n_train=30, n_test=10)
+        with pytest.raises(DataError, match="no methods"):
+            backtest(merged, tr, te, [], constraints_for_weights(W4))
 
     def test_refit_option_matches_frozen_on_stationary_noise_free_data(self):
         config = SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, n_dates=40, noise_scale=0.0, seed=6)

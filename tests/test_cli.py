@@ -11,6 +11,8 @@ import pytest
 
 import curveshape
 from curveshape.cli import main
+from curveshape.periods import month_period
+from curveshape.shaping import daytype_split, hour_split
 
 SPLIT_CONFIG = {
     "parent": "CAL-2014",
@@ -234,6 +236,103 @@ class TestPredict:
         np.testing.assert_allclose(prices, expected, atol=1e-7)
 
 
+    def test_null_coefficient_is_a_data_error(self, workspace, capsys):
+        # JSON null reads as nan; overriding the arbitrage check must not let it through.
+        tmp_path, _, _ = workspace
+        cascade, out = tmp_path / "cascade.json", tmp_path / "curve.csv"
+        cascade.write_text(json.dumps(self.cascade_config([[None, 0], [1, 0], [1, 0], [1, 0]])))
+        argv = ["predict", "--cascade", str(cascade), "--parent-price", "50", "--out", str(out)]
+        assert main([*argv, "--target", "quarter", "--override-arbitrage"]) == 2
+        assert "non-finite pairs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["quarter", "Q1-2014"])
+    @pytest.mark.parametrize(
+        "pairs, price, flags",
+        [([[1e308, 1e308]] * 4, "50", ["--override-arbitrage"]), ([[2, 0], [0, 0], [1, 0], [1, 0]], "1e308", [])],
+        ids=["huge-pairs", "huge-parent-price"],
+    )
+    def test_overflowing_price_is_a_numerical_failure(self, workspace, capsys, target, pairs, price, flags):
+        tmp_path, _, _ = workspace
+        cascade, out = tmp_path / "cascade.json", tmp_path / "curve.csv"
+        cascade.write_text(json.dumps(self.cascade_config(pairs)))
+        argv = ["predict", "--cascade", str(cascade), "--parent-price", price, "--target", target, "--out", str(out)]
+        assert main([*argv, *flags]) == 3
+        assert "overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPredictTargets:
+    """Targets named by level, by granularity and by a label that is not a period."""
+
+    HEADER = "label,period_start,period_end,weight,price"
+    FEB = "2014-02-01T00:00:00,2014-03-01T00:00:00"
+
+    @staticmethod
+    def hour_levels(parents):
+        pairs = np.column_stack([np.ones(24), np.arange(24) - 11.5])
+        return {parent: curveshape.ShapingLevel(hour_split(parent), pairs) for parent in parents}
+
+    def predict(self, tmp_path, casc, target):
+        path, out = tmp_path / "cascade.json", tmp_path / "curve.csv"
+        path.write_text(json.dumps(curveshape.cascade_to_config(casc)))
+        out.unlink(missing_ok=True)
+        code = main(["predict", "--cascade", str(path), "--parent-price", "40", "--target", target, "--out", str(out)])
+        return code, out.read_text().splitlines() if out.exists() else None
+
+    @pytest.fixture
+    def month(self):
+        """February 2014 into day types (20 WD, 4 SAT, 4 SUN), each into 24 hours."""
+        days = daytype_split(month_period(2014, 2))
+        pairs = [[1.0, 1.0], [1.0, -2.0], [1.0, -3.0]]
+        return curveshape.ShapingCascade("M-2014-02", ["MtD", "DtH"], [
+            {"M-2014-02": curveshape.ShapingLevel(days, pairs)}, self.hour_levels(days.child_labels),
+        ])
+
+    @pytest.fixture
+    def blocks(self):
+        """Blocks that are not periods, each into 24 hours."""
+        split = curveshape.GranularitySplit("BLOCK", ("BASE", "PEAK"), np.array([0.5, 0.5]))
+        return curveshape.ShapingCascade("BLOCK", ["BtP", "PtH"], [
+            {"BLOCK": curveshape.ShapingLevel(split, [[1.0, -2.0], [1.0, 2.0]])},
+            self.hour_levels(split.child_labels),
+        ])
+
+    @pytest.mark.parametrize("target", ["MtD", "day", "DAY"])
+    def test_day_types(self, tmp_path, month, target):
+        assert self.predict(tmp_path, month, target) == (0, [
+            self.HEADER,
+            f"M-2014-02:WD,{self.FEB},0.7142857142857143,41.0",
+            f"M-2014-02:SAT,{self.FEB},0.14285714285714285,38.0",
+            f"M-2014-02:SUN,{self.FEB},0.14285714285714285,37.0",
+        ])
+
+    @pytest.mark.parametrize("target", ["DtH", "hour"])
+    def test_hours(self, tmp_path, month, target):
+        code, lines = self.predict(tmp_path, month, target)
+        assert code == 0 and len(lines) == 1 + 72
+        assert lines[1] == f"M-2014-02:WD:H00,{self.FEB},0.02976190476190476,29.5"
+        assert lines[32] == f"M-2014-02:SAT:H07,{self.FEB},0.005952380952380952,33.5"
+        assert lines[-1] == f"M-2014-02:SUN:H23,{self.FEB},0.005952380952380952,48.5"
+
+    def test_one_hour_label(self, tmp_path, month):
+        code, lines = self.predict(tmp_path, month, "M-2014-02:SAT:H07")
+        assert (code, lines) == (0, [self.HEADER, f"M-2014-02:SAT:H07,{self.FEB},,33.5"])
+
+    def test_leaves_that_are_not_periods_have_no_window(self, tmp_path, blocks):
+        assert self.predict(tmp_path, blocks, "BtP") == (0, [self.HEADER, "BASE,,,0.5,38.0", "PEAK,,,0.5,42.0"])
+        assert self.predict(tmp_path, blocks, "PEAK:H23") == (0, [self.HEADER, "PEAK:H23,,,,53.5"])
+
+    def test_granularity_below_a_level_that_is_not_periods(self, tmp_path, blocks):
+        code, lines = self.predict(tmp_path, blocks, "hour")
+        assert code == 0 and len(lines) == 1 + 48
+        assert (lines[1], lines[-1]) == ("BASE:H00,,,0.020833333333333332,26.5", "PEAK:H23,,,0.020833333333333332,53.5")
+
+    def test_granularity_that_no_level_has(self, tmp_path, blocks, capsys):
+        assert self.predict(tmp_path, blocks, "day") == (2, None)
+        assert "no shaping path to granularity 'day'" in capsys.readouterr().err
+
+
 class TestBacktestCommand:
     def test_comparison_csv(self, workspace):
         tmp_path, quotes, split = workspace
@@ -249,6 +348,14 @@ class TestBacktestCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "method,sample,mean_ae,med_ae,mean_se,med_se"
         assert len(lines) == 7
+
+    def test_empty_method_list(self, workspace, capsys):
+        tmp_path, quotes, split = workspace
+        out = tmp_path / "bt.csv"
+        argv = ["--train", "2013-01-02:2013-03-31", "--test", "2013-04-01:2013-05-01", "--methods", ","]
+        assert main(["backtest", "--quotes", str(quotes), "--split", str(split), *argv, "--out", str(out)]) == 2
+        assert "no methods" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_train_range(self, workspace):
         tmp_path, quotes, split = workspace
@@ -422,6 +529,30 @@ class TestSimulate:
         assert main(["simulate", "--gamma", str(gamma_file), "--out", str(out)]) == 2
         assert "violates non-arbitrage (gap nan)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--noise", "1e308"], ["--magnitude", "1e308", "--contamination-type", "leverage", "--fraction", "0.1"]]
+    )
+    def test_overflowing_prices_are_a_data_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "q.csv"
+        assert main(["simulate", "--out", str(out), "--n-dates", "40", *flags]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n-dates", "400"], ["--n-dates", "366"], ["--start-date", "2014-06-01"]])
+    def test_quotes_after_delivery_starts_are_a_data_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "q.csv"
+        assert main(["simulate", "--out", str(out), *flags]) == 2
+        assert "CAL-2014 delivery starts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_last_quote_may_fall_on_the_first_delivery_day(self, tmp_path):
+        # 365 dates from 2013-01-02 end on 2014-01-01, which load_quotes accepts.
+        quotes, split, fit = tmp_path / "q.csv", tmp_path / "split.json", tmp_path / "fit.json"
+        split.write_text(json.dumps(SPLIT_CONFIG))
+        assert main(["simulate", "--out", str(quotes), "--n-dates", "365"]) == 0
+        assert quotes.read_text().splitlines()[-1].startswith("2014-01-01,")
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(fit)]) == 0
 
     def test_simulate_then_fit_recovers_gamma(self, tmp_path):
         quotes = tmp_path / "q.csv"

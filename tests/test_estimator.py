@@ -19,13 +19,13 @@ from curveshape import (
     synthesize_market,
 )
 from curveshape import estimator
-from curveshape.baselines import ratio_average_result
 from curveshape.constraints import arbitrage_gap
 from curveshape.estimator import (
     FEASIBILITY_TOLERANCE,
     _initial_weights,
     _residual_distances,
     gamma_from_report,
+    ratio_average_result,
 )
 from curveshape.exceptions import DataError, DegenerateScaleWarning, NumericalError
 from curveshape.robust import BISQUARE_K, HAMPEL_A, HAMPEL_B, HAMPEL_R, MAD_CONSISTENCY, mad_scale, qn_scale

@@ -64,9 +64,10 @@ class TestResolveRelative:
                 prev = p
 
     def test_absolute_is_idempotent(self):
-        code = parse_contract("Q3-2012")
-        assert resolve_relative(code, date(2012, 5, 3)).label == "Q3-2012"
-        assert resolve_relative(code, date(2011, 1, 1)).label == "Q3-2012"
+        resolve = parse_contract("Q3-2012")
+        assert resolve(date(2012, 5, 3)).label == "Q3-2012"
+        assert resolve(date(2011, 1, 1)) is resolve(date(2012, 5, 3))
+        assert resolve_relative("Q3-2012", date(2011, 1, 1)).label == "Q3-2012"
 
     def test_bad_codes(self):
         with pytest.raises(DataError):

@@ -1,6 +1,7 @@
 """The package's public surface: ``curveshape.__all__`` and the names README uses."""
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -80,9 +81,49 @@ FIELDS = {
 }
 
 
+# Every parameter of the public functions, pinned for the same reason.
+PARAMETERS = {
+    "apply_level": ("parent_price", "level", "override"),
+    "arbitrage_gap": ("system", "gamma"),
+    "backtest": (
+        "table", "train_range", "test_range", "methods", "system", "config", "parent_kind", "child_kind",
+        "refit_out_of_sample",
+    ),
+    "bisquare_loss": ("x", "k"),
+    "build_regression_dataset": ("table", "parent_kind", "child_kind"),
+    "build_split": ("parent", "children"),
+    "cascade": ("parent_price", "casc", "target", "override"),
+    "cascade_from_config": ("config",),
+    "cascade_to_config": ("casc",),
+    "classical_fit": ("dataset", "system", "alpha"),
+    "compute_metrics": ("actual", "predicted"),
+    "constraints_for_weights": ("weights",),
+    "hampel_weight": ("x",),
+    "irls_fit": ("dataset", "system", "config", "fixed"),
+    "load_quotes": ("source",),
+    "outlier_report": ("result", "threshold"),
+    "parse_period_label": ("label",),
+    "penalized_wls_solve": ("x", "y", "case_weights", "system", "alpha", "fixed"),
+    "qn_scale": ("values",),
+    "ratio_average_fit": ("dataset",),
+    "recalibrate_with_traded": ("dataset", "system", "config", "market_match", "prior"),
+    "rescale_to_no_arbitrage": ("betas", "weights"),
+    "resolve_relative": ("code", "quote_date"),
+    "shape_curve": ("parent_price", "casc", "depth", "override"),
+    "split_from_config": ("config",),
+    "synthesize_market": ("config",),
+    "verify_consistency": ("parent_price", "child_prices", "weights"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_public_dataclass_fields_are_pinned(name):
     assert tuple(f.name for f in dataclasses.fields(getattr(cs, name))) == FIELDS[name]
+
+
+def test_public_function_parameters_are_pinned():
+    functions = {name: getattr(cs, name) for name in cs.__all__ if inspect.isfunction(getattr(cs, name))}
+    assert {name: tuple(inspect.signature(fn).parameters) for name, fn in functions.items()} == PARAMETERS
 
 
 def test_all_is_the_public_surface():

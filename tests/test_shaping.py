@@ -142,6 +142,13 @@ class TestCascade:
         with pytest.raises(DataError):
             shape_curve(50.0, casc, 3)
 
+    def test_level_filed_under_another_parent_is_refused(self, rng):
+        # Written back to config, such a level would name its split's parent, not its key.
+        top = random_level(rng, "ROOT", ["m1", "m2"])
+        stray = random_level(rng, "m1", ["m1a", "m1b"])
+        with pytest.raises(DataError, match="level for 'm1' is filed under 'm2'"):
+            ShapingCascade(root="ROOT", level_names=["L1", "L2"], levels=[{"ROOT": top}, {"m2": stray}])
+
 
 class TestVerifyConsistency:
     def test_arbitrage_free_level(self, rng):
@@ -168,17 +175,13 @@ class TestRecalibration:
         ds = synthetic_dataset(rng, gamma, n=200, noise=0.4, null_space_noise=True)
         prior = irls_fit(ds, equal_weight_system)
         assert prior.arbitrage_gap_maxabs <= 1e-6
-        again = recalibrate_with_traded(
-            ds,
-            equal_weight_system,
-            fixed={0: (float(prior.gamma[0]), float(prior.gamma[1]))},
-        )
+        again = irls_fit(ds, equal_weight_system, fixed={0: (float(prior.gamma[0]), float(prior.gamma[1]))})
         np.testing.assert_allclose(again.gamma, prior.gamma, atol=1e-8)
 
     def test_fixed_pair_constraint_arithmetic(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
         ds = synthetic_dataset(rng, gamma, n=200, noise=0.4)
-        result = recalibrate_with_traded(ds, equal_weight_system, fixed={0: (1.2, 0.0)})
+        result = irls_fit(ds, equal_weight_system, fixed={0: (1.2, 0.0)})
         assert result.gamma[0] == 1.2 and result.gamma[1] == 0.0
         remaining = float(EQUAL_WEIGHTS[1:] @ result.gamma[2::2])
         assert remaining == pytest.approx(1.0 - 0.25 * 1.2, abs=1e-6)
@@ -202,14 +205,14 @@ class TestRecalibration:
         ds = synthetic_dataset(rng, gamma, n=100, noise=0.3)
         bad_fix = {j: (1.5, 0.0) for j in range(4)}  # slope row sums to 1.5
         with pytest.raises(DataError, match="infeasible fixing"):
-            recalibrate_with_traded(ds, equal_weight_system, fixed=bad_fix)
+            irls_fit(ds, equal_weight_system, fixed=bad_fix)
 
     @pytest.mark.parametrize("pinned", [[0], [0, 1, 2, 3]])
     def test_nan_pin_is_rejected(self, rng, equal_weight_system, pinned):
         ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=100, noise=0.3)
         fixed = {j: (float("nan"), 0.0) for j in pinned}
         with pytest.raises(DataError, match="finite"):
-            recalibrate_with_traded(ds, equal_weight_system, fixed=fixed)
+            irls_fit(ds, equal_weight_system, fixed=fixed)
 
     def test_market_match_requires_prior(self, rng, equal_weight_system):
         gamma = arbitrage_free_gamma(rng, 4)
@@ -220,6 +223,12 @@ class TestRecalibration:
                 equal_weight_system,
                 market_match=MarketMatch(child_index=0, traded_price=50.0, parent_quote=49.0),
             )
+
+    def test_recalibration_requires_a_market_match(self, rng, equal_weight_system):
+        ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=100, noise=0.3)
+        prior = irls_fit(ds, equal_weight_system)
+        with pytest.raises(DataError, match="market match and the prior"):
+            recalibrate_with_traded(ds, equal_weight_system, prior=prior)
 
     @pytest.mark.parametrize("child", [4, -1, 2.0])
     def test_market_match_child_out_of_range(self, rng, equal_weight_system, child):
