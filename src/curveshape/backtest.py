@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 
 import numpy as np
@@ -27,12 +27,7 @@ class MetricsReport:
     med_se: float
 
     def as_dict(self) -> dict:
-        return {
-            "mean_ae": self.mean_ae,
-            "med_ae": self.med_ae,
-            "mean_se": self.mean_se,
-            "med_se": self.med_se,
-        }
+        return asdict(self)
 
 
 def compute_metrics(actual, predicted) -> MetricsReport:
@@ -105,10 +100,6 @@ class SyntheticMarketConfig:
         if not gap <= 1e-10:  # a NaN gap violates too
             raise DataError(f"true gamma violates non-arbitrage (gap {gap:.3g})")
 
-    @property
-    def n_children(self) -> int:
-        return self.weights.size
-
 
 @dataclass
 class SyntheticMarket:
@@ -117,16 +108,6 @@ class SyntheticMarket:
     table: QuoteTable
     contaminated_ids: list[str]
     config: SyntheticMarketConfig
-
-    @property
-    def clean_ids(self) -> list[str]:
-        bad = set(self.contaminated_ids)
-        return [cid for cid in self.case_ids if cid not in bad]
-
-    @property
-    def case_ids(self) -> list[str]:
-        parent = year_period(self.config.delivery_year).label
-        return [f"{d.isoformat()}|{parent}" for d in self.table.dates()]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a price that overflows raises DataError instead
@@ -144,7 +125,7 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     rng_contam = np.random.default_rng([config.seed, 2])
 
     n = config.n_dates
-    k = config.n_children
+    k = config.weights.size
     slopes = config.true_gamma[0::2]
     intercepts = config.true_gamma[1::2]
     noise_scale = np.broadcast_to(np.asarray(config.noise_scale, dtype=float), (k,))
@@ -262,6 +243,9 @@ def backtest(
     """
     if not methods:
         raise DataError("no methods to backtest")
+    unknown = [m for m in methods if m not in METHOD_NAMES]
+    if unknown:
+        raise DataError(f"unknown methods: {unknown}; expected from {METHOD_NAMES}")
     first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
     # Case ids lead with the ISO quote date, and the rows are sorted by it.

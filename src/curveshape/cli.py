@@ -186,9 +186,6 @@ def _cmd_backtest(args) -> int:
     table = load_quotes(args.quotes)
     _, system, (parent_kind, child_kind) = _load_split_and_system(args.split)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in METHOD_NAMES]
-    if unknown:
-        raise DataError(f"unknown methods: {unknown}; expected from {METHOD_NAMES}")
     comparison = backtest(
         table,
         _parse_range(args.train),
@@ -243,6 +240,8 @@ def _cmd_simulate(args) -> int:
     else:
         gamma = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
     start, delivery = _parse_date(args.start_date), date(args.year, 1, 1)
+    if args.n_dates < 3:  # the fewest cases a fit takes
+        raise DataError(f"--n-dates must be at least 3, not {args.n_dates}")
     if args.n_dates - 1 > (delivery - start).days:  # the rule load_quotes holds each row to
         raise DataError(
             f"{args.n_dates} quote dates from {start} run past {delivery}, when CAL-{args.year} delivery starts"

@@ -86,11 +86,12 @@ class ConstraintSystem:
     n_rows = 2
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.weights, dtype=float)
+        h = np.array(self.weights, dtype=float)
+        h.setflags(write=False)
         object.__setattr__(self, "weights", h)
-        # |h|^2 divides the exact-limit solve.  It is finite and positive when
-        # the weights are finite and not all zero, and one dot product checks
-        # both on the path that rebuilds a system per applied level.
+        # |h|^2 divides the exact-limit solve: one dot product checks that the
+        # weights are finite and not all zero, and the read-only copy keeps the
+        # caller from changing them after the check.
         if not 0.0 < float(np.vdot(h, h)) < np.inf:
             raise DataError("constraint weights must be finite and not all zero")
 
@@ -126,10 +127,10 @@ def arbitrage_gap(system: ConstraintSystem, gamma) -> float:
 def split_from_config(config: dict) -> GranularitySplit:
     """Build a split from a config block.
 
-    Explicit ``weights`` override hour-derived ones; weights that already sum
-    to one read back unchanged, and the labels are kept as given.  Without
-    them every label must be a period label, and the children must tile the
-    parent.
+    Explicit ``weights`` override hour-derived ones.  They are scaled to sum
+    to one unless they already do, and ``GranularitySplit`` checks them; the
+    labels are kept as given.  Without them every label must be a period
+    label, and the children must tile the parent.
     """
     try:
         parent_label = config["parent"]
@@ -138,12 +139,8 @@ def split_from_config(config: dict) -> GranularitySplit:
         raise DataError(f"split config needs 'parent' and 'children': {exc}") from exc
     if "weights" in config and config["weights"] is not None:
         weights = np.asarray(config["weights"], dtype=float)
-        if weights.size != len(child_labels):
-            raise DataError("explicit weights disagree with children count")
         total = float(weights.sum())
-        if total <= 0:
-            raise DataError("split weights must be strictly positive")
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        if 0.0 < total < np.inf and abs(total - 1.0) > _WEIGHT_SUM_TOL:
             weights = weights / total
         return GranularitySplit(parent_label, tuple(child_labels), weights)
     parent = parse_period_label(parent_label)

@@ -44,8 +44,12 @@ class Dataset:
             raise DataError("need at least 3 cases")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise DataError("non-finite values in dataset")
-        if np.ptp(self.x) == 0.0:
+        x_spread = float(self.x.max()) - float(self.x.min())  # a Python float overflows quietly
+        if x_spread == 0.0:
             raise DataError("parent prices are constant; slopes unidentifiable")
+        spread = max(x_spread, float(self.y.max()) - float(self.y.min()))
+        if not self.y.size * spread * spread < np.inf:  # the fit sums squared price differences
+            raise NumericalError("prices spread too wide: their squared differences overflow a float")
         if self.case_ids is None:
             self.case_ids = [f"case-{i:05d}" for i in range(self.x.shape[0])]
         if len(self.case_ids) != self.x.shape[0]:

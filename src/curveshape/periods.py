@@ -19,8 +19,13 @@ from .exceptions import DataError
 GRANULARITIES = ("year", "quarter", "month", "week", "weekend", "day", "hour")
 
 _RELATIVE_RE = re.compile(r"^(WE|[DWMQY])\+(\d+)$")
+_CODE_KINDS = {"Y": "year", "Q": "quarter", "M": "month", "W": "week", "WE": "weekend", "D": "day"}
 
-_QUARTER_START_MONTH = {1: 1, 2: 4, 3: 7, 4: 10}
+# The month family by months per period; the day family by days per period and
+# start weekday (Monday is 0; None starts on any day).
+_MONTHS = {"year": 12, "quarter": 3, "month": 1}
+_DAYS = {"week": (7, 0), "weekend": (2, 5), "day": (1, None)}
+_WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
 @dataclass(frozen=True, order=True)
@@ -62,40 +67,31 @@ def _add_months(year: int, month: int, n: int) -> tuple[int, int]:
     return year + m // 12, m % 12 + 1
 
 
+def _month_family_period(kind: str, year: int, month: int) -> Period:
+    ey, em = _add_months(year, month, _MONTHS[kind])
+    return Period(datetime(year, month, 1), datetime(ey, em, 1), kind)
+
+
+def _day_family_period(kind: str, d: date) -> Period:
+    days, weekday = _DAYS[kind]
+    if weekday is not None and d.weekday() != weekday:
+        raise DataError(f"{kind} must start on a {_WEEKDAYS[weekday]}: {d.isoformat()}")
+    s = datetime(d.year, d.month, d.day)
+    return Period(s, s + timedelta(days=days), kind)
+
+
 def year_period(year: int) -> Period:
-    return Period(datetime(year, 1, 1), datetime(year + 1, 1, 1), "year")
+    return _month_family_period("year", year, 1)
 
 
 def quarter_period(year: int, quarter: int) -> Period:
-    if quarter not in _QUARTER_START_MONTH:
+    if quarter not in (1, 2, 3, 4):
         raise DataError(f"invalid quarter number: {quarter}")
-    m = _QUARTER_START_MONTH[quarter]
-    ey, em = _add_months(year, m, 3)
-    return Period(datetime(year, m, 1), datetime(ey, em, 1), "quarter")
+    return _month_family_period("quarter", year, 3 * quarter - 2)
 
 
 def month_period(year: int, month: int) -> Period:
-    ey, em = _add_months(year, month, 1)
-    return Period(datetime(year, month, 1), datetime(ey, em, 1), "month")
-
-
-def week_period(monday: date) -> Period:
-    if monday.weekday() != 0:
-        raise DataError(f"week must start on a Monday: {monday.isoformat()}")
-    s = datetime(monday.year, monday.month, monday.day)
-    return Period(s, s + timedelta(days=7), "week")
-
-
-def weekend_period(saturday: date) -> Period:
-    if saturday.weekday() != 5:
-        raise DataError(f"weekend must start on a Saturday: {saturday.isoformat()}")
-    s = datetime(saturday.year, saturday.month, saturday.day)
-    return Period(s, s + timedelta(days=2), "weekend")
-
-
-def day_period(d: date) -> Period:
-    s = datetime(d.year, d.month, d.day)
-    return Period(s, s + timedelta(days=1), "day")
+    return _month_family_period("month", year, month)
 
 
 def hour_period(d: date, hour: int) -> Period:
@@ -118,15 +114,9 @@ def parse_period_label(label: str) -> Period:
         m = re.fullmatch(r"M-(\d{4})-(\d{2})", label)
         if m:
             return month_period(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"W-(\d{4}-\d{2}-\d{2})", label)
+        m = re.fullmatch(r"(WE|W|D)-(\d{4}-\d{2}-\d{2})", label)
         if m:
-            return week_period(date.fromisoformat(m.group(1)))
-        m = re.fullmatch(r"WE-(\d{4}-\d{2}-\d{2})", label)
-        if m:
-            return weekend_period(date.fromisoformat(m.group(1)))
-        m = re.fullmatch(r"D-(\d{4}-\d{2}-\d{2})", label)
-        if m:
-            return day_period(date.fromisoformat(m.group(1)))
+            return _day_family_period(_CODE_KINDS[m.group(1)], date.fromisoformat(m.group(2)))
         m = re.fullmatch(r"H-(\d{4}-\d{2}-\d{2})-(\d{2})", label)
         if m:
             return hour_period(date.fromisoformat(m.group(1)), int(m.group(2)))
@@ -145,15 +135,13 @@ def period_children(parent: Period, child_kind: str) -> list[Period]:
 
     Supported: year->quarter, year->month, quarter->month, day->hour.
     """
-    pair = (parent.kind, child_kind)
-    if pair == ("year", "quarter"):
-        return [quarter_period(parent.start.year, q) for q in range(1, 5)]
-    if pair == ("year", "month"):
-        return [month_period(parent.start.year, m) for m in range(1, 13)]
-    if pair == ("quarter", "month"):
+    if child_kind in _MONTHS and _MONTHS[child_kind] < _MONTHS.get(parent.kind, 0):
         y, m0 = parent.start.year, parent.start.month
-        return [month_period(*_add_months(y, m0, i)) for i in range(3)]
-    if pair == ("day", "hour"):
+        return [
+            _month_family_period(child_kind, *_add_months(y, m0, i))
+            for i in range(0, _MONTHS[parent.kind], _MONTHS[child_kind])
+        ]
+    if (parent.kind, child_kind) == ("day", "hour"):
         return [hour_period(parent.start.date(), h) for h in range(24)]
     raise DataError(f"unsupported split {parent.kind!r} -> {child_kind!r}")
 
@@ -172,25 +160,22 @@ def parse_contract(code: str) -> Callable[[date], Period]:
     return partial(_relative_period, m.group(1), offset)
 
 
-def _relative_period(kind: str, n: int, quote_date: date) -> Period:
-    """The ``n``-th delivery period of ``kind`` (D, WE, W, M, Q or Y) after ``quote_date``."""
-    if kind == "D":
-        return day_period(quote_date + timedelta(days=n))
-    if kind == "WE":
-        days_to_sat = (5 - quote_date.weekday()) % 7
-        first_sat = quote_date + timedelta(days=days_to_sat or 7)
-        return weekend_period(first_sat + timedelta(days=7 * (n - 1)))
-    if kind == "W":
-        monday = quote_date - timedelta(days=quote_date.weekday())
-        return week_period(monday + timedelta(days=7 * n))
-    if kind == "M":
-        y, m = _add_months(quote_date.year, quote_date.month, n)
-        return month_period(y, m)
-    if kind == "Q":
-        q0 = (quote_date.month - 1) // 3
-        y, m = _add_months(quote_date.year, 3 * q0 + 1, 3 * n)
-        return quarter_period(y, (m - 1) // 3 + 1)
-    return year_period(quote_date.year + n)
+def _relative_period(code: str, n: int, quote_date: date) -> Period:
+    """The ``n``-th delivery period of ``code`` (D, WE, W, M, Q or Y) after ``quote_date``.
+
+    A month-family period counts from the one holding the quote date; a
+    day-family period counts from the first one starting after it.
+    """
+    kind = _CODE_KINDS[code]
+    if kind in _MONTHS:
+        step = _MONTHS[kind]
+        first = quote_date.month - (quote_date.month - 1) % step
+        return _month_family_period(kind, *_add_months(quote_date.year, first, step * n))
+    weekday = _DAYS[kind][1]
+    if weekday is None:
+        return _day_family_period(kind, quote_date + timedelta(days=n))
+    ahead = (weekday - quote_date.weekday()) % 7 or 7
+    return _day_family_period(kind, quote_date + timedelta(days=ahead + 7 * (n - 1)))
 
 
 def resolve_relative(code: str, quote_date: date) -> Period:

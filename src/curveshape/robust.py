@@ -66,9 +66,8 @@ def _median(v: np.ndarray):
     middle value is the maximum of the front half, and the two are averaged
     as numpy averages them.  NaN sorts last, so the back half holds any NaN
     of a slice and one maximum over it finds it; such a slice gets a NaN
-    median, as in numpy.  On a 2-vCPU VM a 365 x 24 array takes about 33 us.
-    The floats are numpy's, except that a zero median may carry the other
-    sign.
+    median, as in numpy.  The floats are numpy's, except that a zero median
+    may carry the other sign.
     """
     half = v.shape[0] // 2
     part = np.partition(v, half, axis=0)
@@ -122,8 +121,7 @@ def qn_scale(values) -> float:
     medians, which removes at least a quarter (Johnson & Mizoguchi 1978).
     Once at most ``max(4n, 8192)`` remain they are gathered and finished
     with ``np.partition``; up to 128 values, all pairs go straight there.
-    Memory is O(n) and time O(n log^2 n).  On desk-level prices, 1,000 to
-    8,760 values take 4 row counts, and 8,760 about 3 ms on a 2-vCPU VM.
+    Memory is O(n) and time O(n log^2 n).
 
     A row count is one ``np.searchsorted`` of ``y[i] + trial`` over the
     sample, which guesses every row's boundary.  A guess stands only when

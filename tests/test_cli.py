@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import curveshape
 from curveshape.cli import main
@@ -546,6 +550,23 @@ class TestSimulate:
         assert "CAL-2014 delivery starts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_dates", ["-1", "0", "1", "2"])
+    def test_fewer_than_three_dates_is_a_data_error(self, tmp_path, capsys, n_dates):
+        out = tmp_path / "q.csv"
+        assert main(["simulate", "--out", str(out), "--n-dates", n_dates]) == 2
+        assert "--n-dates must be at least 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prices_spread_past_a_float_fail_the_fit_numerically(self, tmp_path, capsys):
+        # 3 dates with a seasonal swing of 1e308: finite prices up to 3.4e306,
+        # whose squared differences overflow a float.
+        quotes, split, fit = tmp_path / "q.csv", tmp_path / "split.json", tmp_path / "fit.json"
+        split.write_text(json.dumps(SPLIT_CONFIG))
+        assert main(["simulate", "--out", str(quotes), "--n-dates", "3", "--amplitude", "1e308"]) == 0
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(fit)]) == 3
+        assert "spread too wide" in capsys.readouterr().err
+        assert not fit.exists()
+
     def test_last_quote_may_fall_on_the_first_delivery_day(self, tmp_path):
         # 365 dates from 2013-01-02 end on 2014-01-01, which load_quotes accepts.
         quotes, split, fit = tmp_path / "q.csv", tmp_path / "split.json", tmp_path / "fit.json"
@@ -606,6 +627,13 @@ def test_non_finite_number_flag_is_a_data_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestReadmeFlow:
     """The README walk-through: simulate at price level 50 with 20% outliers, fit, check."""
 
@@ -621,10 +649,7 @@ class TestReadmeFlow:
         return fit, split
 
     def test_fit_report_is_strict_json(self, fitted):
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        report = json.loads(fitted[0].read_text(), parse_constant=reject)
+        report = _strict_json(fitted[0].read_text())
         # the penalized fit misses 1e-6 here, so the exact-limit fallback (alpha = inf) ran
         assert report["diagnostics"]["alpha_used"] is None
 
@@ -649,3 +674,51 @@ def test_exit_code_for_numerical_failures(monkeypatch, capsys):
     monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
     assert cli.main(["check-arbitrage", "--coeffs", "x", "--split", "y"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# README-scale ranges for the simulate price flags; at most two of them take a
+# value no desk means instead.
+_PRICE_FLAG_RANGES = {
+    "--level": (0.0, 100.0), "--amplitude": (0.0, 10.0), "--path-noise": (0.0, 2.0),
+    "--noise": (0.0, 2.0), "--magnitude": (0.0, 20.0),
+}
+_EXTREME_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [v for item in node for v in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_dates=st.integers(-2, 400),
+    fraction=st.floats(-0.1, 0.6),
+    prices=st.fixed_dictionaries({flag: st.floats(*bounds) for flag, bounds in _PRICE_FLAG_RANGES.items()}),
+    extremes=st.dictionaries(st.sampled_from(list(_PRICE_FLAG_RANGES)), st.sampled_from(_EXTREME_VALUES), max_size=2),
+)
+def test_simulate_then_fit_keeps_the_exit_code_contract(tmp_path, n_dates, fraction, prices, extremes):
+    quotes, split, report = tmp_path / "q.csv", tmp_path / "split.json", tmp_path / "fit.json"
+    for path in (quotes, report):
+        path.unlink(missing_ok=True)
+    split.write_text(json.dumps(SPLIT_CONFIG))
+
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    flags = {"--n-dates": n_dates, "--fraction": fraction, **prices, **extremes}
+    if run(["simulate", "--out", str(quotes), *(f"{k}={v!r}" for k, v in flags.items())]) != 0:
+        return
+    rows = [line.split(",") for line in quotes.read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(price)) for _, _, price in rows)
+    assert len({quote_date for quote_date, _, _ in rows}) >= 3
+    if run(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(report)]) == 0:
+        assert all(math.isfinite(v) for v in _numbers(_strict_json(report.read_text())))

@@ -1,5 +1,7 @@
 """Tests for the non-arbitrage constraint builder."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from curveshape.constraints import (
     constraints_for_weights,
     split_from_config,
 )
-from curveshape.estimator import penalized_wls_solve
+from curveshape.estimator import irls_fit, penalized_wls_solve
 from curveshape.exceptions import DataError
 from curveshape.periods import parse_period_label, period_children, year_period
 
@@ -90,6 +92,18 @@ class TestBuildConstraints:
         # irls_fit would return NaN coefficients on them instead of failing
         with pytest.raises(DataError, match="constraint weights"):
             constraints_for_weights(weights)
+
+    def test_system_keeps_a_read_only_copy_of_its_weights(self, rng):
+        weights = np.full(4, 0.25)
+        system = constraints_for_weights(weights)
+        weights[:] = 0.0  # would make |h|^2 zero in the exact-limit solve
+        np.testing.assert_array_equal(system.weights, EQUAL_WEIGHTS)
+        with pytest.raises(ValueError):
+            system.weights[0] = 0.0
+        gamma = arbitrage_free_gamma(rng, 4)
+        result = irls_fit(synthetic_dataset(rng, gamma), system)
+        assert np.isfinite(result.gamma).all()
+        assert arbitrage_gap(system, result.gamma) <= 1e-6
 
     def test_single_child_forces_identity(self):
         system = constraints_for_weights([1.0])
@@ -202,6 +216,24 @@ class TestSplitConfig:
     def test_bad_config(self):
         with pytest.raises(DataError):
             split_from_config({"children": ["Q1-2014"]})
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1, 1, 1], "disagree in length"),
+            ([], "at least one child"),
+            ([np.inf, 1, 1, 1], "finite"),
+            ([np.nan, 1, 1, 1], "finite"),
+            ([0, 0, 0, 0], "strictly positive"),
+            ([-1, 1, 1, 1], "strictly positive"),
+        ],
+    )
+    def test_explicit_weights_are_checked_by_the_split(self, weights, message):
+        config = {"parent": "CAL-2014", "children": ["Q1-2014", "Q2-2014", "Q3-2014", "Q4-2014"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from scaling them first
+            with pytest.raises(DataError, match=message):
+                split_from_config(dict(config, weights=weights))
 
 
 def test_split_validation():

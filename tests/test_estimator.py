@@ -62,6 +62,13 @@ class TestDataset:
             Dataset(x=np.array([1.0, 2.0, np.nan]), y=np.ones((3, 2)))
         with pytest.raises(DataError, match="case_ids"):
             Dataset(x=np.arange(3.0), y=np.ones((3, 2)), case_ids=["a"])
+        # finite prices whose spread, or its square, overflows a float
+        with pytest.raises(NumericalError, match="spread too wide"):
+            Dataset(x=np.array([-1e308, 0.0, 1e308]), y=np.ones((3, 2)))
+        with pytest.raises(NumericalError, match="spread too wide"):
+            Dataset(x=np.array([0.0, 1e155, 2e155]), y=np.ones((3, 2)))
+        with pytest.raises(NumericalError, match="spread too wide"):
+            Dataset(x=np.arange(3.0), y=np.array([[0.0, 1e308], [0.0, -1e308], [1.0, 1.0]]))
 
     def test_default_ids_and_vector_y(self):
         ds = Dataset(x=np.arange(4.0), y=np.arange(4.0))
@@ -745,3 +752,42 @@ class TestOneSolvePerIteration:
         assert np.isfinite(result.alpha_used) and result.iterations > 1  # one pass of several iterations
         assert len(solves) == result.iterations
         assert len(weights) == result.iterations + 2  # and once each for the x and y start weights
+
+
+class TestRelabelingInvariance:
+    """Relabeling children or cases relabels the fit and changes nothing else
+    (Maronna, Martin & Yohai 2006, ch. 4-5)."""
+
+    @staticmethod
+    def desk_market(seed):
+        """A CAL -> 4Q market at price level 50 with 20% vertical outliers, and its hour weights."""
+        weights = np.array([2160.0, 2184.0, 2208.0, 2208.0]) / 8760.0
+        gamma = arbitrage_free_gamma(np.random.default_rng(seed), 4, weights)
+        config = SyntheticMarketConfig(
+            true_gamma=gamma, weights=weights, contamination_fraction=0.2, outlier_magnitude=10.0, seed=seed
+        )
+        dataset, _ = build_regression_dataset(synthesize_market(config).table)
+        return dataset, weights
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(4)))
+    def test_permuting_children_permutes_the_pairs(self, seed, order):
+        dataset, weights = self.desk_market(seed)
+        order = list(order)
+        fit = irls_fit(dataset, constraints_for_weights(weights))
+        permuted = irls_fit(Dataset(x=dataset.x, y=dataset.y[:, order]), constraints_for_weights(weights[order]))
+        np.testing.assert_allclose(
+            permuted.gamma.reshape(-1, 2), fit.gamma.reshape(-1, 2)[order], rtol=0, atol=1e-6
+        )
+        np.testing.assert_allclose(permuted.case_weights, fit.case_weights, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), shuffle_seed=st.integers(0, 2**32 - 1))
+    def test_reordering_cases_permutes_the_case_weights(self, seed, shuffle_seed):
+        dataset, weights = self.desk_market(seed)
+        order = np.random.default_rng(shuffle_seed).permutation(dataset.n_cases)
+        system = constraints_for_weights(weights)
+        fit = irls_fit(dataset, system)
+        shuffled = irls_fit(Dataset(x=dataset.x[order], y=dataset.y[order]), system)
+        np.testing.assert_allclose(shuffled.gamma, fit.gamma, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(shuffled.case_weights, fit.case_weights[order], rtol=0, atol=1e-6)
