@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,11 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"cannot read file: {path}")
     try:
-        data = json.loads(p.read_text())
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # missing, a directory, unreadable or not text
+        raise DataError(f"cannot read file: {path}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -60,8 +62,11 @@ def _read_json(path: str) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except (OSError, ValueError) as exc:  # a directory, a missing folder or no permission
+        raise DataError(f"cannot write file: {path}") from exc
 
 
 def _parse_alpha(raw: str):
@@ -268,7 +273,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process's one argument parser, built on the first call; parsing leaves it unchanged."""
     parser = _Parser(prog="curveshape", description=__doc__)
     parser.add_argument("--version", action="version", version=f"curveshape {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

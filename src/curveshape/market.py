@@ -63,14 +63,15 @@ class QuoteTable:
 def load_quotes(source) -> QuoteTable:
     """Parse a quote CSV from a path, string, or open text stream.
 
-    Each distinct contract code is parsed once per call; relative codes are
-    still resolved against each row's own quote date.
+    Each distinct date text and contract text is parsed once per call;
+    relative codes are still resolved against each row's own quote date.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         path = Path(source)
-        if not path.exists():
-            raise DataError(f"cannot read quotes file: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as exc:  # missing, a directory, unreadable or not text
+            raise DataError(f"cannot read quotes file: {path}") from exc
     elif isinstance(source, str):
         text = source
     else:
@@ -79,37 +80,45 @@ def load_quotes(source) -> QuoteTable:
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
     prices: dict[tuple[date, str], float] = {}
+    dates: dict[str, date] = {}
     resolvers: dict[str, Callable[[date], Period]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split(",")
         if len(parts) != 3:
+            if not line.strip():  # a blank line holds no comma
+                continue
             raise DataError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        raw_date, raw_contract, raw_price = (p.strip() for p in parts)
+        raw_date, raw_contract, raw_price = parts
+        quote_date = dates.get(raw_date)
+        if quote_date is None:
+            try:
+                quote_date = dates[raw_date] = date.fromisoformat(raw_date.strip())
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: bad quote date {raw_date.strip()!r}") from exc
         try:
-            quote_date = date.fromisoformat(raw_date)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad quote date {raw_date!r}") from exc
-        try:
-            price = float(raw_price)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad price {raw_price!r}") from exc
+            price = float(raw_price)  # float() ignores surrounding whitespace itself ...
+        except ValueError:
+            try:  # ... but for "\x1f", which strip() drops
+                price = float(raw_price.strip())
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: bad price {raw_price.strip()!r}") from exc
         if not math.isfinite(price):
             raise DataError(f"line {lineno}: non-finite price")
         try:
-            if raw_contract not in resolvers:
-                resolvers[raw_contract] = parse_contract(raw_contract)
-            period = resolvers[raw_contract](quote_date)
+            resolve = resolvers.get(raw_contract)
+            if resolve is None:
+                resolve = resolvers[raw_contract] = parse_contract(raw_contract)
+            period = resolve(quote_date)
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
         if period.start.date() < quote_date:
             raise DataError(
                 f"line {lineno}: delivery window of {period.label} starts before quote date"
             )
-        if (quote_date, period.label) in prices:
+        key = quote_date, period.label
+        if key in prices:
             raise DataError(f"line {lineno}: duplicate quote for {period.label} on {quote_date}")
-        prices[quote_date, period.label] = price
+        prices[key] = price
     return QuoteTable(prices)
 
 
@@ -144,25 +153,27 @@ def build_regression_dataset(
     dropped and counted in the completeness report.
     """
     prices, periods = table.prices, table._periods()
-    # Periods order by start, so this sorts by (quote date, parent start).
-    rows = sorted((d, periods[label]) for d, label in prices if periods[label].kind == parent_kind)
+    children = {
+        label: [c.label for c in period_children(period, child_kind)]
+        for label, period in periods.items()
+        if period.kind == parent_kind
+    }
+    # By quote date, then parent start; within one kind a start fixes the window.
+    rows = sorted((d, periods[label].start, label) for d, label in prices if label in children)
     xs: list[float] = []
     ys: list[list[float]] = []
     ids: list[str] = []
     missing: list[tuple[str, str, list[str]]] = []
-    child_labels: dict[Period, list[str]] = {}
-    for quote_date, parent in rows:
-        labels = child_labels.get(parent)
-        if labels is None:
-            labels = child_labels[parent] = [c.label for c in period_children(parent, child_kind)]
+    for quote_date, _, parent in rows:
+        labels = children[parent]
         child_prices = [prices.get((quote_date, label)) for label in labels]
         if None in child_prices:
             absent = [label for label, p in zip(labels, child_prices) if p is None]
-            missing.append((quote_date.isoformat(), parent.label, absent))
+            missing.append((quote_date.isoformat(), parent, absent))
             continue
-        xs.append(prices[quote_date, parent.label])
+        xs.append(prices[quote_date, parent])
         ys.append(child_prices)
-        ids.append(f"{quote_date.isoformat()}|{parent.label}")
+        ids.append(f"{quote_date.isoformat()}|{parent}")
     if not xs:
         raise DataError("no joint observations")
     dataset = Dataset(x=np.array(xs), y=np.array(ys), case_ids=ids)

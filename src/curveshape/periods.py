@@ -120,7 +120,7 @@ def parse_period_label(label: str) -> Period:
         m = re.fullmatch(r"H-(\d{4}-\d{2}-\d{2})-(\d{2})", label)
         if m:
             return hour_period(date.fromisoformat(m.group(1)), int(m.group(2)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a bad field, or a window past 9999-12-31
         raise DataError(f"malformed period label {label!r}: {exc}") from exc
     raise DataError(f"malformed period label: {label!r}")
 
@@ -154,7 +154,10 @@ def parse_contract(code: str) -> Callable[[date], Period]:
     if m is None:
         period = parse_period_label(code)
         return lambda quote_date: period
-    offset = int(m.group(2))
+    try:
+        offset = int(m.group(2))
+    except ValueError as exc:  # more digits than int() converts
+        raise DataError(f"relative offset out of range: {code!r}") from exc
     if offset < 1:
         raise DataError(f"relative offset must be >= 1: {code!r}")
     return partial(_relative_period, m.group(1), offset)
@@ -167,15 +170,18 @@ def _relative_period(code: str, n: int, quote_date: date) -> Period:
     day-family period counts from the first one starting after it.
     """
     kind = _CODE_KINDS[code]
-    if kind in _MONTHS:
-        step = _MONTHS[kind]
-        first = quote_date.month - (quote_date.month - 1) % step
-        return _month_family_period(kind, *_add_months(quote_date.year, first, step * n))
-    weekday = _DAYS[kind][1]
-    if weekday is None:
-        return _day_family_period(kind, quote_date + timedelta(days=n))
-    ahead = (weekday - quote_date.weekday()) % 7 or 7
-    return _day_family_period(kind, quote_date + timedelta(days=ahead + 7 * (n - 1)))
+    try:
+        if kind in _MONTHS:
+            step = _MONTHS[kind]
+            first = quote_date.month - (quote_date.month - 1) % step
+            return _month_family_period(kind, *_add_months(quote_date.year, first, step * n))
+        weekday = _DAYS[kind][1]
+        if weekday is None:
+            return _day_family_period(kind, quote_date + timedelta(days=n))
+        ahead = (weekday - quote_date.weekday()) % 7 or 7
+        return _day_family_period(kind, quote_date + timedelta(days=ahead + 7 * (n - 1)))
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{code}+{n} from {quote_date.isoformat()} is out of range: {exc}") from exc
 
 
 def resolve_relative(code: str, quote_date: date) -> Period:

@@ -75,6 +75,30 @@ class TestFit:
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("contract", ["D+9999999999", "D-9999-12-31", "Y+9000", "H-9999-12-31-23"])
+    def test_period_past_year_9999_is_a_data_error_naming_its_line(self, tmp_path, capsys, contract):
+        quotes, split = tmp_path / "quotes.csv", tmp_path / "split.json"
+        quotes.write_text(f"quote_date,contract,price\n2013-01-02,CAL-2014,50\n2013-01-02,{contract},50\n")
+        split.write_text(json.dumps(SPLIT_CONFIG))
+        assert main(["fit", "--quotes", str(quotes), "--split", str(split)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["fit", "--quotes", "DIR", "--split", "SPLIT"], "cannot read quotes file"),
+            (["fit", "--quotes", "QUOTES", "--split", "DIR"], "cannot read file"),
+            (["check-arbitrage", "--coeffs", "DIR", "--split", "SPLIT"], "cannot read file"),
+            (["fit", "--quotes", "QUOTES", "--split", "SPLIT", "--out", "DIR"], "cannot write file"),
+            (["simulate", "--out", "DIR"], "cannot write file"),
+        ],
+    )
+    def test_a_directory_path_is_a_data_error(self, workspace, capsys, flags, error):
+        tmp_path, quotes, split = workspace
+        paths = {"DIR": str(tmp_path), "QUOTES": str(quotes), "SPLIT": str(split)}
+        assert main([paths.get(flag, flag) for flag in flags]) == 2
+        assert capsys.readouterr().err == f"error: {error}: {tmp_path}\n"
+
     def test_usage_error(self, workspace):
         _, quotes, _ = workspace
         assert main(["fit", "--quotes", str(quotes)]) == 1
@@ -722,3 +746,26 @@ def test_simulate_then_fit_keeps_the_exit_code_contract(tmp_path, n_dates, fract
     assert len({quote_date for quote_date, _, _ in rows}) >= 3
     if run(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(report)]) == 0:
         assert all(math.isfinite(v) for v in _numbers(_strict_json(report.read_text())))
+
+
+def test_the_one_parser_carries_nothing_from_call_to_call(workspace, capsys):
+    from curveshape import cli
+
+    _, quotes, split = workspace
+    fit = ["fit", "--quotes", str(quotes), "--split", str(split)]
+    calls = [[*fit, "--weight-fn", "bisquare", "--alpha", "2.5"], fit]
+    reports = []
+    for argv in calls:
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert main([*fit, "--no-such-flag"]) == 1
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    src = str(Path(curveshape.__file__).resolve().parents[1])
+    for argv, report in zip(calls, reports):
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from curveshape.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (fresh.returncode, fresh.stdout) == (0, report)
+    assert reports[0] != reports[1]
+    assert cli.build_parser() is cli.build_parser()

@@ -1,15 +1,18 @@
 """Tests for quote ingestion and dataset assembly."""
 
+import math
+from collections.abc import Callable
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curveshape.market
 from curveshape import QuoteTable, build_regression_dataset, load_quotes
 from curveshape.exceptions import DataError
+from curveshape.periods import Period, parse_contract
 
 TABLE_SNAPSHOT = """quote_date,contract,price
 2012-05-03,D+1,44.75
@@ -109,6 +112,17 @@ class TestLoadQuotes:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_quotes(tmp_path / "nope.csv")
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read quotes file"):
+            load_quotes(tmp_path)
+
+    @pytest.mark.parametrize("contract", ["D+9999999999", "D-9999-12-31", "Y+9000", "H-9999-12-31-23"])
+    def test_period_past_year_9999_names_its_line(self, contract):
+        csv = f"quote_date,contract,price\n2013-01-02,CAL-2014,50\n2013-01-02,{contract},50\n"
+        with pytest.raises(DataError, match=r"^line 3: ") as raised:
+            load_quotes(csv)
+        assert contract in str(raised.value)
 
     def test_serialization_roundtrip(self):
         table = load_quotes(TABLE_SNAPSHOT)
@@ -268,3 +282,95 @@ def test_row_order_and_code_form_leave_the_table_unchanged(data):
     assert dataset.case_ids == ref_dataset.case_ids
     assert report.as_dict() == ref_report.as_dict()
     assert (report.n_rows, report.n_dropped) == (7, 9)
+
+
+def _row_by_row(text: str) -> dict[tuple[date, str], float]:
+    """Oracle: the per-row loop ``load_quotes`` ran before it parsed each date and contract text once."""
+    lines = text.splitlines()
+    prices: dict[tuple[date, str], float] = {}
+    resolvers: dict[str, Callable[[date], Period]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        raw_date, raw_contract, raw_price = (p.strip() for p in parts)
+        try:
+            quote_date = date.fromisoformat(raw_date)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: bad quote date {raw_date!r}") from exc
+        try:
+            price = float(raw_price)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: bad price {raw_price!r}") from exc
+        if not math.isfinite(price):
+            raise DataError(f"line {lineno}: non-finite price")
+        try:
+            if raw_contract not in resolvers:
+                resolvers[raw_contract] = parse_contract(raw_contract)
+            period = resolvers[raw_contract](quote_date)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+        if period.start.date() < quote_date:
+            raise DataError(
+                f"line {lineno}: delivery window of {period.label} starts before quote date"
+            )
+        if (quote_date, period.label) in prices:
+            raise DataError(f"line {lineno}: duplicate quote for {period.label} on {quote_date}")
+        prices[quote_date, period.label] = price
+    return prices
+
+
+# README-like rows quoted in 2012-2013: absolute and relative CAL/Q/M/W/WE/D codes.
+_DATE = st.dates(date(2012, 1, 1), date(2013, 12, 31)).map(date.isoformat)
+_CODE = st.sampled_from([
+    "CAL-2014", "Q1-2014", "Q3-2014", "M-2014-07", "W-2014-01-06", "WE-2014-01-04", "D-2014-01-05",
+    "H-2014-01-05-13", "Y+1", "Y+2", "Q+1", "Q+3", "M+1", "M+2", "W+1", "WE+2", "D+1", "D+3",
+])
+_PRICE = st.one_of(st.sampled_from(["43.20", "50", "-1.5e2", "1_000.5"]), st.floats(-1e6, 1e6).map(repr))
+# "\x1f" is whitespace to str.strip() but not to float().
+_PAD = st.sampled_from(["", " ", "\t", "\xa0", "\x1f"])
+
+
+def _row(*fields):
+    padded = [st.builds(lambda left, text, right: left + text + right, _PAD, f, _PAD) for f in fields]
+    return st.builds(lambda *texts: ",".join(texts), *padded)
+
+
+_VALID_ROW = _row(_DATE, _CODE, _PRICE)
+_BAD_ROW = st.one_of(
+    _row(st.sampled_from(["2013-13-01", "03/05/2012", ""]), _CODE, _PRICE),
+    _row(_DATE, st.sampled_from([
+        "CAL-2013", "Q+0", "Z+1", "", "D+9999999999", "Y+9000", "W+521000", "M+" + "9" * 30,
+        "D+" + "9" * 5000, "D-9999-12-31", "H-9999-12-31-23", "CAL-9999", "D-9999-12-30", "Q4-9998",
+    ]), _PRICE),
+    _row(st.sampled_from(["2014-02-03", "9999-12-30"]), _CODE, _PRICE),  # started, or past 9999
+    _row(_DATE, _CODE, st.sampled_from(["abc", "", "nan", "-inf", "1e999"])),
+)
+# Lines that break one rule each, or none (blank and whitespace-only lines).
+_MUTANT = st.one_of(
+    _BAD_ROW,
+    st.sampled_from(["", "   ", "\t\xa0"]),
+    _VALID_ROW.map(lambda row: row + ",1"),
+    _VALID_ROW.map(lambda row: row.rsplit(",", 1)[0]),
+)
+
+
+# One failure shrunk at a time: shrinking several distinct ones ran past 5 minutes.
+@settings(report_multiple_bugs=False)
+@given(data=st.data())
+def test_load_quotes_matches_the_row_by_row_parse(data):
+    lines = data.draw(st.lists(_VALID_ROW, min_size=1, max_size=40))
+    for _ in range(data.draw(st.integers(0, 2))):  # a mutant line, or a row quoted twice
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.one_of(_MUTANT, st.sampled_from(lines))))
+    text = "\n".join(["quote_date,contract,price", *lines]) + "\n"
+    try:
+        expected = _row_by_row(text)
+    except (DataError, OverflowError, ValueError) as exc:
+        with pytest.raises(DataError) as raised:
+            load_quotes(text)
+        if isinstance(exc, DataError):
+            assert str(raised.value) == str(exc)
+        return
+    assert list(load_quotes(text).prices.items()) == list(expected.items())
