@@ -163,12 +163,15 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     children = period_children(parent, "quarter")
     if len(children) != k:
         raise DataError(f"gamma has {k} children but {parent.label} has {len(children)} quarters")
-    prices = {}
-    for d, parent_price, child_prices in zip(quote_dates, x.tolist(), y.tolist()):
-        prices[d, parent.label] = parent_price
-        prices.update(((d, child.label), p) for child, p in zip(children, child_prices))
+    # Each date quotes the parent, then its children.
+    table = QuoteTable(
+        np.repeat([d.toordinal() for d in quote_dates], k + 1),
+        np.tile(np.arange(k + 1), n),
+        np.column_stack([x, y]).ravel(),
+        (parent.label, *(child.label for child in children)),
+    )
     contaminated = [f"{quote_dates[i].isoformat()}|{parent.label}" for i in bad_rows]
-    return SyntheticMarket(table=QuoteTable(prices), contaminated_ids=contaminated, config=config)
+    return SyntheticMarket(table=table, contaminated_ids=contaminated, config=config)
 
 
 @dataclass

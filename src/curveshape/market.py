@@ -13,6 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -22,42 +23,86 @@ from .exceptions import DataError
 from .periods import Period, parse_contract, parse_period_label, period_children
 
 CSV_HEADER = "quote_date,contract,price"
+_EPOCH = date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
 
 
-@dataclass
 class QuoteTable:
-    """Each quote once: its price keyed by (quote date, absolute period label)."""
+    """Each quote once, held as three read-only columns that line up row for row.
 
-    prices: dict[tuple[date, str], float] = field(default_factory=dict)
+    ``days`` holds quote-date ordinals (``date.toordinal()``) and ``codes``
+    indexes ``labels``, both as int32; ``prices`` holds float64 prices.
+    That is 16 bytes per quote.  Any label ``parse_period_label`` accepts
+    may be passed: the table stores each as its period's canonical label,
+    ``labels`` holds the quoted ones sorted and each once, and a second
+    quote for the same quote date and period is a ``DataError``.
+    """
 
-    def _periods(self) -> dict[str, Period]:
-        """Delivery period of each distinct label, parsed once."""
-        return {label: parse_period_label(label) for label in {label for _, label in self.prices}}
+    def __init__(self, days, codes, prices, labels) -> None:
+        days = np.array(days, dtype=np.int64)
+        codes = np.array(codes, dtype=np.intp)
+        prices = np.array(prices, dtype=np.float64)
+        if not (days.ndim == codes.ndim == prices.ndim == 1 and days.size == codes.size == prices.size):
+            raise DataError("quote columns must be 1-D and of one length")
+        if days.size and not (1 <= days.min() and days.max() <= date.max.toordinal()):
+            raise DataError("quote date ordinal out of range")
+        parsed = [parse_period_label(label) for label in labels]
+        if codes.size and not (0 <= codes.min() and codes.max() < len(parsed)):
+            raise DataError("label code out of range")
+        periods = {period.label: period for period in parsed}
+        canonical = sorted(periods)
+        position = {label: i for i, label in enumerate(canonical)}
+        codes = np.array([position[period.label] for period in parsed], dtype=np.intp)[codes]  # canonical codes
+        quoted = np.bincount(codes, minlength=len(canonical)) > 0
+        codes = (np.cumsum(quoted) - 1)[codes]  # leave out the labels no row quotes
+        self.labels: tuple[str, ...] = tuple(compress(canonical, quoted))
+        self._periods: tuple[Period, ...] = tuple(periods[label] for label in self.labels)
+        self.days, self.codes, self.prices = days.astype(np.int32), codes.astype(np.int32), prices
+        for column in (self.days, self.codes, self.prices):
+            column.flags.writeable = False
+        keys = np.sort(self._keys())
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if repeated.size:  # the first by quote date, then label
+            day, code = divmod(int(repeated[0]), len(self.labels))
+            raise DataError(f"duplicate quote for {self.labels[code]} on {date.fromordinal(day).isoformat()}")
+
+    def _keys(self) -> np.ndarray:
+        """One int64 per quote, in (quote date, label) order."""
+        return self.days.astype(np.int64) * len(self.labels) + self.codes
 
     def __len__(self) -> int:
-        return len(self.prices)
+        return self.prices.size
 
     def dates(self) -> list[date]:
-        return sorted({quote_date for quote_date, _ in self.prices})
+        return [date.fromordinal(day) for day in np.unique(self.days).tolist()]
 
     def filter_dates(self, start: date, end: date) -> "QuoteTable":
         """Quotes with start <= quote_date <= end."""
-        return QuoteTable({key: p for key, p in self.prices.items() if start <= key[0] <= end})
+        keep = (self.days >= start.toordinal()) & (self.days <= end.toordinal())
+        return QuoteTable(self.days[keep], self.codes[keep], self.prices[keep], self.labels)
 
     def merged_with(self, other: "QuoteTable") -> "QuoteTable":
-        overlap = min(self.prices.keys() & other.prices.keys(), default=None)
-        if overlap:
-            raise DataError(f"duplicate quote for {overlap[1]} on {overlap[0].isoformat()}")
-        return QuoteTable({**self.prices, **other.prices})
+        return QuoteTable(
+            np.concatenate([self.days, other.days]),
+            np.concatenate([self.codes, other.codes + len(self.labels)]),
+            np.concatenate([self.prices, other.prices]),
+            self.labels + other.labels,
+        )
 
     def to_csv(self) -> str:
-        periods = self._periods()
-        keys = sorted(self.prices, key=lambda key: (key[0], periods[key[1]].start, key[1]))
-        lines = [CSV_HEADER] + [f"{d.isoformat()},{label},{self.prices[d, label]!r}" for d, label in keys]
+        """One line per quote, by quote date, then delivery start, then label."""
+        by_start = sorted(range(len(self.labels)), key=lambda c: (self._periods[c].start, self.labels[c]))
+        order = np.lexsort((np.argsort(by_start)[self.codes], self.days))  # argsort inverts the permutation
+        rows = zip(_isoformat(self.days[order]), self.codes[order].tolist(), self.prices[order].tolist())
+        lines = [CSV_HEADER] + [f"{day},{self.labels[code]},{price!r}" for day, code, price in rows]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv())
+
+
+def _isoformat(days: np.ndarray) -> list[str]:
+    """ISO text of each quote-date ordinal; numpy writes what ``date.isoformat`` does for 0001-9999."""
+    return np.datetime_as_string((days - _EPOCH).astype("datetime64[D]")).tolist()
 
 
 def load_quotes(source) -> QuoteTable:
@@ -79,8 +124,9 @@ def load_quotes(source) -> QuoteTable:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
-    prices: dict[tuple[date, str], float] = {}
-    dates: dict[str, date] = {}
+    labels: dict[str, int] = {}  # the code of each label, in order of first quote
+    quoted: dict[int, float] = {}  # price by label code << 22 | date ordinal; an ordinal is below 2**22
+    dates: dict[str, tuple[date, int]] = {}
     resolvers: dict[str, Callable[[date], Period]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -89,12 +135,14 @@ def load_quotes(source) -> QuoteTable:
                 continue
             raise DataError(f"line {lineno}: expected 3 fields, got {len(parts)}")
         raw_date, raw_contract, raw_price = parts
-        quote_date = dates.get(raw_date)
-        if quote_date is None:
+        parsed = dates.get(raw_date)
+        if parsed is None:
             try:
-                quote_date = dates[raw_date] = date.fromisoformat(raw_date.strip())
+                quote_date = date.fromisoformat(raw_date.strip())
             except ValueError as exc:
                 raise DataError(f"line {lineno}: bad quote date {raw_date.strip()!r}") from exc
+            parsed = dates[raw_date] = quote_date, quote_date.toordinal()
+        quote_date, day = parsed
         try:
             price = float(raw_price)  # float() ignores surrounding whitespace itself ...
         except ValueError:
@@ -115,11 +163,15 @@ def load_quotes(source) -> QuoteTable:
             raise DataError(
                 f"line {lineno}: delivery window of {period.label} starts before quote date"
             )
-        key = quote_date, period.label
-        if key in prices:
+        code = labels.get(period.label)
+        if code is None:
+            code = labels[period.label] = len(labels)
+        key = code << 22 | day
+        if key in quoted:
             raise DataError(f"line {lineno}: duplicate quote for {period.label} on {quote_date}")
-        prices[key] = price
-    return QuoteTable(prices)
+        quoted[key] = price
+    codes, days = np.divmod(np.fromiter(quoted, np.int64, len(quoted)), 1 << 22)
+    return QuoteTable(days, codes, np.fromiter(quoted.values(), np.float64, len(quoted)), tuple(labels))
 
 
 @dataclass
@@ -150,31 +202,39 @@ def build_regression_dataset(
 
     One row per (quote date, parent period) where the parent and all K
     children are quoted on that date; anything with a missing child is
-    dropped and counted in the completeness report.
+    dropped and counted in the completeness report.  Children are found
+    by binary search in the table's sorted (quote date, label) keys, so
+    no dates x labels grid is built.
     """
-    prices, periods = table.prices, table._periods()
-    children = {
-        label: [c.label for c in period_children(period, child_kind)]
-        for label, period in periods.items()
-        if period.kind == parent_kind
-    }
-    # By quote date, then parent start; within one kind a start fixes the window.
-    rows = sorted((d, periods[label].start, label) for d, label in prices if label in children)
-    xs: list[float] = []
-    ys: list[list[float]] = []
-    ids: list[str] = []
-    missing: list[tuple[str, str, list[str]]] = []
-    for quote_date, _, parent in rows:
-        labels = children[parent]
-        child_prices = [prices.get((quote_date, label)) for label in labels]
-        if None in child_prices:
-            absent = [label for label, p in zip(labels, child_prices) if p is None]
-            missing.append((quote_date.isoformat(), parent, absent))
-            continue
-        xs.append(prices[quote_date, parent])
-        ys.append(child_prices)
-        ids.append(f"{quote_date.isoformat()}|{parent}")
-    if not xs:
+    labels, periods = table.labels, table._periods
+    # Parents by delivery start; within one kind a start fixes the window.
+    parents = sorted((c for c, p in enumerate(periods) if p.kind == parent_kind), key=lambda c: periods[c].start)
+    children = [[child.label for child in period_children(periods[c], child_kind)] for c in parents]
+    code = {label: c for c, label in enumerate(labels)}
+    # Each parent's child codes, -1 for a child quoted on no date; (1, 0) when no label is a parent.
+    child_codes = np.array([[code.get(label, -1) for label in row] for row in children], dtype=np.int64, ndmin=2)
+    parent_of = np.full(len(labels), -1, dtype=np.intp)
+    parent_of[parents] = np.arange(len(parents))
+    rows = np.flatnonzero(parent_of[table.codes] >= 0)
+    rows = rows[np.lexsort((parent_of[table.codes[rows]], table.days[rows]))]  # by quote date, then start
+    wanted = child_codes[parent_of[table.codes[rows]]]
+    keys = table._keys()
+    order = np.argsort(keys)
+    keys = keys[order]
+    wanted_keys = table.days[rows, None].astype(np.int64) * len(labels) + wanted
+    at = np.minimum(np.searchsorted(keys, wanted_keys), keys.size - 1)
+    quoted = (wanted >= 0) & (keys[at] == wanted_keys)
+    complete = quoted.all(axis=1)
+    dropped = rows[~complete]
+    missing = [
+        (day, labels[c], [label for label, hit in zip(children[parent_of[c]], hits) if not hit])
+        for day, c, hits in zip(
+            _isoformat(table.days[dropped]), table.codes[dropped].tolist(), quoted[~complete].tolist()
+        )
+    ]
+    kept = rows[complete]
+    if not kept.size:
         raise DataError("no joint observations")
-    dataset = Dataset(x=np.array(xs), y=np.array(ys), case_ids=ids)
-    return dataset, CompletenessReport(n_rows=len(xs), n_dropped=len(missing), missing=missing)
+    ids = [f"{day}|{labels[c]}" for day, c in zip(_isoformat(table.days[kept]), table.codes[kept].tolist())]
+    dataset = Dataset(x=table.prices[kept], y=table.prices[order[at[complete]]], case_ids=ids)
+    return dataset, CompletenessReport(n_rows=kept.size, n_dropped=len(missing), missing=missing)

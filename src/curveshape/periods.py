@@ -45,14 +45,15 @@ class Period:
     @cached_property
     def label(self) -> str:
         """Absolute label, computed once per period; equality, hashing and
-        ordering still compare ``start`` and ``end`` only."""
+        ordering still compare ``start`` and ``end`` only.  Years take four
+        digits, as in ISO dates, so that every label parses back."""
         s = self.start
         if self.kind == "year":
-            return f"CAL-{s.year}"
+            return f"CAL-{s.year:04d}"
         if self.kind == "quarter":
-            return f"Q{(s.month - 1) // 3 + 1}-{s.year}"
+            return f"Q{(s.month - 1) // 3 + 1}-{s.year:04d}"
         if self.kind == "month":
-            return f"M-{s.year}-{s.month:02d}"
+            return f"M-{s.year:04d}-{s.month:02d}"
         if self.kind == "week":
             return f"W-{s.date().isoformat()}"
         if self.kind == "weekend":

@@ -285,11 +285,11 @@ def _two_parent_table():
     cal14 = synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, delivery_year=2014, seed=3, **base))
     cal15 = synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, delivery_year=2015, seed=4, **base))
     days = cal14.table.dates()
-    prices = {
-        (d, label): price for (d, label), price in cal14.table.merged_with(cal15.table).prices.items()
-        if d not in days[30:33] and (d, label) != (days[42], "CAL-2015")
-    }
-    return QuoteTable(prices), days
+    table = cal14.table.merged_with(cal15.table)
+    cal15_code = table.labels.index("CAL-2015")
+    keep = ~np.isin(table.days, [d.toordinal() for d in days[30:33]])
+    keep &= (table.days != days[42].toordinal()) | (table.codes != cal15_code)
+    return QuoteTable(table.days[keep], table.codes[keep], table.prices[keep], table.labels), days
 
 
 def test_expanding_window_matches_reference_loop(monkeypatch):

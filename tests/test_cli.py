@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -725,7 +726,7 @@ def _numbers(node):
     extremes=st.dictionaries(st.sampled_from(list(_PRICE_FLAG_RANGES)), st.sampled_from(_EXTREME_VALUES), max_size=2),
 )
 def test_simulate_then_fit_keeps_the_exit_code_contract(tmp_path, n_dates, fraction, prices, extremes):
-    quotes, split, report = tmp_path / "q.csv", tmp_path / "split.json", tmp_path / "fit.json"
+    quotes, split, report, table = (tmp_path / name for name in ("q.csv", "split.json", "fit.json", "out.csv"))
     for path in (quotes, report):
         path.unlink(missing_ok=True)
     split.write_text(json.dumps(SPLIT_CONFIG))
@@ -744,8 +745,17 @@ def test_simulate_then_fit_keeps_the_exit_code_contract(tmp_path, n_dates, fract
     rows = [line.split(",") for line in quotes.read_text().splitlines()[1:]]
     assert all(math.isfinite(float(price)) for _, _, price in rows)
     assert len({quote_date for quote_date, _, _ in rows}) >= 3
-    if run(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(report)]) == 0:
+    inputs = ["--quotes", str(quotes), "--split", str(split)]
+    if run(["fit", *inputs, "--out", str(report)]) == 0:
         assert all(math.isfinite(v) for v in _numbers(_strict_json(report.read_text())))
+    # The table paths: backtest filters the table by date before it pivots; the last five dates are its test range.
+    last = date(2013, 1, 2) + timedelta(days=n_dates - 1)
+    train, test = f"2013-01-02:{last - timedelta(days=5)}", f"{last - timedelta(days=4)}:{last}"
+    for argv, text_fields in ((["backtest", "--train", train, "--test", test, "--refit"], 2), (["outliers"], 1)):
+        table.unlink(missing_ok=True)
+        if run([*argv, *inputs, "--out", str(table)]) == 0:
+            rows = [line.split(",")[text_fields:] for line in table.read_text().splitlines()[1:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_the_one_parser_carries_nothing_from_call_to_call(workspace, capsys):

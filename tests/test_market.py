@@ -1,6 +1,7 @@
 """Tests for quote ingestion and dataset assembly."""
 
 import math
+import tracemalloc
 from collections.abc import Callable
 from datetime import date, timedelta
 
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curveshape.market
-from curveshape import QuoteTable, build_regression_dataset, load_quotes
+from curveshape import Dataset, QuoteTable, build_regression_dataset, load_quotes
 from curveshape.exceptions import DataError
-from curveshape.periods import Period, parse_contract
+from curveshape.market import CompletenessReport
+from curveshape.periods import Period, parse_contract, parse_period_label, period_children
 
 TABLE_SNAPSHOT = """quote_date,contract,price
 2012-05-03,D+1,44.75
@@ -26,12 +28,17 @@ TABLE_SNAPSHOT = """quote_date,contract,price
 """
 
 
+def _items(table: QuoteTable) -> dict[tuple[date, str], float]:
+    """Price of each quote by (quote date, label), in row order."""
+    rows = zip(table.days.tolist(), table.codes.tolist(), table.prices.tolist())
+    return {(date.fromordinal(day), table.labels[code]): price for day, code, price in rows}
+
+
 class TestLoadQuotes:
     def test_snapshot_rows_resolve_distinctly(self):
         table = load_quotes(TABLE_SNAPSHOT)
         assert len(table) == 8
-        labels = {label for _, label in table.prices}
-        assert labels == {
+        assert set(table.labels) == {
             "D-2012-05-04",
             "D-2012-05-05",
             "WE-2012-05-05",
@@ -41,7 +48,7 @@ class TestLoadQuotes:
             "Q4-2012",
             "CAL-2013",
         }
-        assert table.prices[date(2012, 5, 3), "CAL-2013"] == 50.20
+        assert _items(table)[date(2012, 5, 3), "CAL-2013"] == 50.20
 
     def test_empty_after_header(self):
         assert len(load_quotes("quote_date,contract,price\n")) == 0
@@ -79,7 +86,7 @@ class TestLoadQuotes:
 
     def test_relative_code_resolves_per_row(self):
         csv = "quote_date,contract,price\n2013-03-29,Q+1,40.0\n2013-04-01,Q+1,41.0\n"
-        assert list(load_quotes(csv).prices) == [(date(2013, 3, 29), "Q2-2013"), (date(2013, 4, 1), "Q3-2013")]
+        assert list(_items(load_quotes(csv))) == [(date(2013, 3, 29), "Q2-2013"), (date(2013, 4, 1), "Q3-2013")]
 
     def test_started_delivery_names_the_later_row(self):
         csv = (
@@ -127,7 +134,7 @@ class TestLoadQuotes:
     def test_serialization_roundtrip(self):
         table = load_quotes(TABLE_SNAPSHOT)
         again = load_quotes(table.to_csv())
-        assert again.prices == table.prices
+        assert _items(again) == _items(table)
         assert again.to_csv() == table.to_csv()
 
     def test_date_filter(self):
@@ -143,10 +150,35 @@ class TestLoadQuotes:
 
     def test_merge_rejects_a_quote_held_by_both_tables(self):
         table = load_quotes(TABLE_SNAPSHOT)
-        other = QuoteTable({(date(2012, 5, 3), "Q3-2012"): 43.25, (date(2012, 5, 4), "Q3-2012"): 43.3})
+        other = QuoteTable([date(2012, 5, 3).toordinal(), date(2012, 5, 4).toordinal()], [0, 0], [43.25, 43.3], ["Q3-2012"])
         with pytest.raises(DataError, match="duplicate quote for Q3-2012 on 2012-05-03"):
             table.merged_with(other)
         assert len(table.merged_with(other.filter_dates(date(2012, 5, 4), date(2012, 5, 4)))) == 9
+
+    def test_a_respelled_period_is_stored_canonical_and_is_a_duplicate(self):
+        day, next_day = date(2013, 1, 2).toordinal(), date(2013, 1, 3).toordinal()
+        for spelling in ("CAL-02014", "CAL-2_014"):
+            with pytest.raises(DataError, match="^duplicate quote for CAL-2014 on 2013-01-02$"):
+                QuoteTable([day, day], [0, 1], [50.0, 51.0], [spelling, "CAL-2014"])
+            table = QuoteTable([day, next_day], [0, 1], [50.0, 51.0], [spelling, "CAL-2014"])
+            assert table.labels == ("CAL-2014",)
+            with pytest.raises(DataError, match="^duplicate quote for CAL-2014 on 2013-01-03$"):
+                table.merged_with(QuoteTable([next_day], [0], [52.0], [spelling]))
+
+    def test_columns_are_read_only_and_checked(self):
+        table = load_quotes(TABLE_SNAPSHOT)
+        assert (table.days.dtype, table.codes.dtype, table.prices.dtype) == (np.int32, np.int32, np.float64)
+        for column in (table.days, table.codes, table.prices):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        day = date(2013, 1, 2).toordinal()
+        for columns, message in [
+            (([day, day], [0], [1.0, 2.0]), "of one length"),
+            (([day], [1], [1.0]), "label code out of range"),
+            (([0], [0], [1.0]), "ordinal out of range"),
+        ]:
+            with pytest.raises(DataError, match=message):
+                QuoteTable(*columns, ["CAL-2014"])
 
     def test_stream_source(self):
         import io
@@ -220,6 +252,50 @@ class TestBuildRegressionDataset:
         assert dataset.n_cases == 3
         assert report.n_dropped == 0
 
+    def test_a_respelled_parent_is_one_parent(self):
+        prices = [50.0, 54, 45, 47, 54]
+        labels = ["CAL-02014", "CAL-2014", "Q1-2014", "Q2-2014", "Q3-2014", "Q4-2014"]
+        days, codes, quotes = [], [], []
+        for i, parent in enumerate((0, 1, 0)):
+            days += [date(2013, 1, 2 + i).toordinal()] * 5
+            codes += [parent, 2, 3, 4, 5]
+            quotes += [p + i for p in prices]
+        dataset, report = build_regression_dataset(QuoteTable(days, codes, quotes, labels))
+        assert dataset.case_ids == ["2013-01-02|CAL-2014", "2013-01-03|CAL-2014", "2013-01-04|CAL-2014"]
+        assert report.n_dropped == 0
+
+    def test_pivot_allocates_a_small_multiple_of_the_columns(self):
+        """5,000 quote dates of D+1, D+2 and D+3 beside CAL and its quarters.
+
+        The table holds 5,072 labels, so a float64 dates x labels grid
+        would take about 200 MB against 0.6 MB of columns.
+        """
+        rng = np.random.default_rng(5)
+        code: dict[str, int] = {}
+        days, codes, prices = [], [], []
+        for i in range(5000):
+            day = date(2000, 1, 3) + timedelta(days=i)
+            cal = 50.0 + rng.normal()
+            year = day.year + 1
+            quotes = {f"D-{day + timedelta(days=n)}": 40.0 + rng.normal() for n in (1, 2, 3)}
+            quotes[f"CAL-{year}"] = cal
+            quotes.update({f"Q{q}-{year}": cal + q + rng.normal() for q in range(1, 5)})
+            for label, price in quotes.items():
+                days.append(day.toordinal())
+                codes.append(code.setdefault(label, len(code)))
+                prices.append(price)
+        table = QuoteTable(days, codes, prices, list(code))
+        columns = table.days.nbytes + table.codes.nbytes + table.prices.nbytes
+        assert (len(table), len(table.labels)) == (40_000, 5072)
+        tracemalloc.start()
+        try:
+            dataset, report = build_regression_dataset(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (dataset.n_cases, report.n_dropped) == (5000, 0)
+        assert peak < 6 * columns
+
     def test_generator_roundtrip_recovers_gamma(self):
         from curveshape import (
             SyntheticMarketConfig,
@@ -282,6 +358,87 @@ def test_row_order_and_code_form_leave_the_table_unchanged(data):
     assert dataset.case_ids == ref_dataset.case_ids
     assert report.as_dict() == ref_report.as_dict()
     assert (report.n_rows, report.n_dropped) == (7, 9)
+
+
+def _dict_walk(prices: dict[tuple[date, str], float], parent_kind: str, child_kind: str):
+    """Oracle: the dict walk ``build_regression_dataset`` ran before the table held columns."""
+    periods = {label: parse_period_label(label) for label in {label for _, label in prices}}
+    children = {
+        label: [c.label for c in period_children(period, child_kind)]
+        for label, period in periods.items()
+        if period.kind == parent_kind
+    }
+    rows = sorted((d, periods[label].start, label) for d, label in prices if label in children)
+    xs: list[float] = []
+    ys: list[list[float]] = []
+    ids: list[str] = []
+    missing: list[tuple[str, str, list[str]]] = []
+    for quote_date, _, parent in rows:
+        labels = children[parent]
+        child_prices = [prices.get((quote_date, label)) for label in labels]
+        if None in child_prices:
+            absent = [label for label, p in zip(labels, child_prices) if p is None]
+            missing.append((quote_date.isoformat(), parent, absent))
+            continue
+        xs.append(prices[quote_date, parent])
+        ys.append(child_prices)
+        ids.append(f"{quote_date.isoformat()}|{parent}")
+    if not xs:
+        raise DataError("no joint observations")
+    dataset = Dataset(x=np.array(xs), y=np.array(ys), case_ids=ids)
+    return dataset, CompletenessReport(n_rows=len(xs), n_dropped=len(missing), missing=missing)
+
+
+# Parents quoted per split; a date may quote several of them.
+_SPLIT_PARENTS = {
+    ("year", "quarter"): ["CAL-2014", "CAL-2015", "CAL-2016"],
+    ("year", "month"): ["CAL-2014", "CAL-2015"],
+    ("quarter", "month"): ["Q1-2014", "Q2-2014", "Q4-2014", "Q1-2015"],
+    ("day", "hour"): ["D-2014-02-03", "D-2014-02-04", "D-2014-03-30"],
+}
+# Labels beside the split: other kinds, and parents or children no drawn parent reads.
+_EXTRA_LABELS = [
+    "W-2014-02-03", "WE-2014-02-08", "M-2016-05", "Q3-2016", "H-2014-02-05-07", "D-2014-02-05", "CAL-2017",
+]
+# Other spellings of one period: int() reads a leading zero, an underscore and Arabic-Indic digits.
+_SPELLINGS = {"CAL-2014": ["CAL-2014", "CAL-02014", "CAL-2_014"], "Q1-2014": ["Q1-2014", "Q1-\u0662\u0660\u0661\u0664"]}
+
+
+@given(data=st.data())
+def test_columnar_pivot_matches_the_dict_walk(data):
+    split = data.draw(st.sampled_from(sorted(_SPLIT_PARENTS)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    quotes: dict[tuple[date, str], float] = {}
+    for day in data.draw(st.lists(st.dates(date(2013, 1, 1), date(2013, 2, 28)), min_size=4, max_size=8, unique=True)):
+        for parent in data.draw(st.sets(st.sampled_from(_SPLIT_PARENTS[split]), min_size=1)):
+            children = [c.label for c in period_children(parse_period_label(parent), split[1])]
+            quotes[day, parent] = rng.uniform(20.0, 80.0)
+            quotes.update(((day, c), rng.choice([rng.uniform(20.0, 80.0), float(rng.randint(40, 41))])) for c in children)
+            if rng.random() < 0.2:  # the parent or a child or two not quoted
+                for label in rng.sample([parent, *children], rng.randint(1, 2)):
+                    del quotes[day, label]
+        for label in data.draw(st.sets(st.sampled_from(_EXTRA_LABELS), max_size=3)):
+            quotes[day, label] = rng.uniform(20.0, 80.0)
+    rows = list(quotes.items())
+    rng.shuffle(rows)
+    spelled = [rng.choice(_SPELLINGS.get(label, [label])) for (_, label), _ in rows]
+    labels = sorted(set(spelled))
+    table = QuoteTable(
+        [day.toordinal() for (day, _), _ in rows], [labels.index(label) for label in spelled], [p for _, p in rows], labels
+    )
+    assert _items(table) == quotes
+    try:
+        expected, expected_report = _dict_walk(quotes, *split)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            build_regression_dataset(table, *split)
+        assert str(raised.value) == str(exc)
+        return
+    dataset, report = build_regression_dataset(table, *split)
+    assert dataset.x.tobytes() == expected.x.tobytes()
+    assert (dataset.y.shape, dataset.y.tobytes()) == (expected.y.shape, expected.y.tobytes())
+    assert dataset.case_ids == expected.case_ids
+    assert report.as_dict() == expected_report.as_dict()
 
 
 def _row_by_row(text: str) -> dict[tuple[date, str], float]:
@@ -373,4 +530,4 @@ def test_load_quotes_matches_the_row_by_row_parse(data):
         if isinstance(exc, DataError):
             assert str(raised.value) == str(exc)
         return
-    assert list(load_quotes(text).prices.items()) == list(expected.items())
+    assert list(_items(load_quotes(text)).items()) == list(expected.items())

@@ -3,9 +3,12 @@
 from datetime import date, datetime
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from curveshape.exceptions import DataError
+from curveshape.exceptions import CurveShapeError, DataError
 from curveshape.periods import (
+    Period,
     delivery_hours,
     parse_contract,
     parse_period_label,
@@ -137,3 +140,56 @@ class TestPeriodChildren:
     def test_unsupported(self):
         with pytest.raises(DataError):
             period_children(year_period(2014), "day")
+
+
+# Period parsers on any text: a label that parses, a typed error, nothing else.
+_YEAR = st.one_of(
+    st.integers(-10, 10**30).map(str),
+    st.integers(0, 99999).map("{:04d}".format),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=5),  # any Unicode digit
+)
+_DAY = st.builds("{}-{:02d}-{:02d}".format, _YEAR, st.integers(0, 13), st.integers(0, 32))
+_LABEL = st.one_of(
+    st.builds("CAL-{}".format, _YEAR),
+    st.builds("Q{}-{}".format, st.integers(0, 5), _YEAR),
+    st.builds("M-{}-{:02d}".format, _YEAR, st.integers(0, 13)),
+    st.builds("{}-{}".format, st.sampled_from(["W", "WE", "D"]), st.one_of(_DAY, st.dates().map(date.isoformat))),
+    st.builds("H-{}-{:02d}".format, st.one_of(_DAY, st.dates().map(date.isoformat)), st.integers(0, 25)),
+    st.text(max_size=24),
+)
+_OFFSET = st.one_of(st.integers(0, 10**30).map(str), st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4))
+_CODE = st.one_of(
+    st.builds("{}{}+{}{}".format, st.sampled_from(["", " ", "\t"]), st.sampled_from(["D", "WE", "W", "M", "Q", "Y", "H", "X"]),
+              _OFFSET, st.sampled_from(["", " ", "\n"])),
+    _LABEL,
+)
+
+
+def _assert_parses_back_or_raises_typed(call, *args):
+    try:
+        period = call(*args)
+    except CurveShapeError:
+        return
+    assert isinstance(period, Period)
+    again = parse_period_label(period.label)
+    assert (again, again.kind, again.label) == (period, period.kind, period.label)
+
+
+@given(label=_LABEL)
+def test_parse_period_label_returns_a_label_that_parses_back_or_a_typed_error(label):
+    _assert_parses_back_or_raises_typed(parse_period_label, label)
+
+
+@given(code=_CODE, quote_date=st.dates())
+def test_resolve_relative_returns_a_label_that_parses_back_or_a_typed_error(code, quote_date):
+    _assert_parses_back_or_raises_typed(resolve_relative, code, quote_date)
+
+
+@pytest.mark.parametrize(
+    ("label", "canonical"),
+    [("Q1-0001", "Q1-0001"), ("M-0999-12", "M-0999-12"), ("CAL-999", "CAL-0999"), ("CAL-02014", "CAL-2014")],
+)
+def test_labels_before_year_1000_take_four_digits(label, canonical):
+    period = parse_period_label(label)
+    assert period.label == canonical
+    assert parse_period_label(canonical) == period
