@@ -8,7 +8,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .constraints import ConstraintSystem, arbitrage_gap, constraints_for_weights
+from .constraints import ConstraintSystem, _floats, arbitrage_gap, constraints_for_weights
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
 from .exceptions import DataError
 from .market import QuoteTable, build_regression_dataset
@@ -80,8 +80,8 @@ class SyntheticMarketConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        gamma = np.asarray(self.true_gamma, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        gamma = _floats(self.true_gamma, "true_gamma")
+        weights = _floats(self.weights, "weights")
         object.__setattr__(self, "true_gamma", gamma)
         object.__setattr__(self, "weights", weights)
         if gamma.size != 2 * weights.size:
@@ -90,6 +90,8 @@ class SyntheticMarketConfig:
         numbers = (p.level, p.seasonal_amplitude, p.period_days, p.noise, self.outlier_magnitude)
         if not np.isfinite(np.append(numbers, self.noise_scale)).all():
             raise DataError("synthetic market parameters must be finite")
+        if not self.seed >= 0:  # numpy seeds with non-negative integers only
+            raise DataError(f"seed must be >= 0, not {self.seed}")
         if not 0.0 <= self.contamination_fraction < 0.5:
             raise DataError("contamination fraction must lie in [0, 0.5)")
         if self.contamination_type not in ("vertical", "leverage"):
@@ -151,11 +153,9 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
             signs = rng_contam.choice([-1.0, 1.0], size=n_bad)
         else:
             signs = np.full(n_bad, 1.0 if config.contamination_sign == "positive" else -1.0)
-        for row, col, sign in zip(bad_rows, bad_cols, signs):
-            y[row, col] += sign * config.outlier_magnitude * noise_scale[col]
+        y[bad_rows, bad_cols] += signs * config.outlier_magnitude * noise_scale[bad_cols]
     else:
-        for row in bad_rows:
-            x[row] *= config.outlier_magnitude
+        x[bad_rows] *= config.outlier_magnitude
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("synthetic prices overflow a float")
 
@@ -194,7 +194,7 @@ class ComparisonTable:
         for ev in self.evaluations:
             if ev.method == method:
                 return ev
-        raise KeyError(method)
+        raise DataError(f"no evaluation of method {method!r}")
 
     def to_csv(self) -> str:
         lines = ["method,sample,mean_ae,med_ae,mean_se,med_se"]
@@ -264,6 +264,8 @@ def backtest(
             for i, case_id in enumerate(test.case_ids):
                 day = date.fromisoformat(case_id.split("|")[0])
                 if day != refit_day:
+                    if day == date.min:  # no day before it to end a window on
+                        raise DataError(f"empty window before {day}")
                     window = _dated_rows(
                         dataset, days, train_range[0], day - timedelta(days=1),
                         f"window before {day}",

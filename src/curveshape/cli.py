@@ -25,7 +25,7 @@ from .backtest import (
     synthesize_market,
 )
 from .constraints import (
-    FEASIBILITY_TOLERANCE, arbitrage_gap, constraints_for_weights, split_from_config, split_to_config,
+    FEASIBILITY_TOLERANCE, _floats, arbitrage_gap, constraints_for_weights, split_from_config, split_to_config,
 )
 from .estimator import FitConfig, gamma_from_report, irls_fit, outlier_report
 from .exceptions import CurveShapeError, DataError, NumericalError
@@ -241,9 +241,13 @@ def _cmd_simulate(args) -> int:
         gamma_file = _read_json(args.gamma)
         if "gamma" not in gamma_file:
             raise DataError(f"{args.gamma} has no 'gamma' key")
-        gamma = np.asarray(gamma_file["gamma"], dtype=float)
+        gamma = _floats(gamma_file["gamma"], f"'gamma' in {args.gamma}")
+        if gamma.size < 2:
+            raise DataError(f"'gamma' in {args.gamma} must hold at least one (A, B) pair")
     else:
         gamma = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
+    if not 1 <= args.year <= 9999:
+        raise DataError(f"--year must lie in 1..9999, not {args.year}")
     start, delivery = _parse_date(args.start_date), date(args.year, 1, 1)
     if args.n_dates < 3:  # the fewest cases a fit takes
         raise DataError(f"--n-dates must be at least 3, not {args.n_dates}")
@@ -357,10 +361,10 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not np.isfinite(value):
                 raise DataError(f"--{name.replace('_', '-')} must be finite, not {value!r}")
         return args.func(args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (CurveShapeError, ValueError) as exc:
+    except CurveShapeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -19,6 +19,14 @@ _WEIGHT_SUM_TOL = 1e-12
 FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap that counts as arbitrage-free
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """A new float array of ``value``, which a config or caller supplied; ``what`` names it in the error."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # a string, an object or lists of unequal length
+        raise DataError(f"{what} must be numbers in a regular array") from exc
+
+
 @dataclass(frozen=True)
 class GranularitySplit:
     """A parent label subdivided into K ordered child labels with read-only hour weights.
@@ -32,7 +40,7 @@ class GranularitySplit:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
+        w = _floats(self.weights, "split weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 1:
@@ -86,7 +94,7 @@ class ConstraintSystem:
     n_rows = 2
 
     def __post_init__(self) -> None:
-        h = np.array(self.weights, dtype=float)
+        h = _floats(self.weights, "constraint weights")
         h.setflags(write=False)
         object.__setattr__(self, "weights", h)
         # |h|^2 divides the exact-limit solve: one dot product checks that the
@@ -137,8 +145,10 @@ def split_from_config(config: dict) -> GranularitySplit:
         child_labels = list(config["children"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"split config needs 'parent' and 'children': {exc}") from exc
+    if isinstance(config["children"], str):  # a string iterates into one-letter labels
+        raise DataError("split config 'children' must be a list of labels, not a string")
     if "weights" in config and config["weights"] is not None:
-        weights = np.asarray(config["weights"], dtype=float)
+        weights = _floats(config["weights"], "split weights")
         total = float(weights.sum())
         if 0.0 < total < np.inf and abs(total - 1.0) > _WEIGHT_SUM_TOL:
             weights = weights / total

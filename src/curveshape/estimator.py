@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, arbitrage_gap
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
 from .robust import MAD_CONSISTENCY, WeightFunctionSpec, _median, mad_scale, qn_scale
 
@@ -156,13 +156,12 @@ def gamma_from_report(report: dict) -> np.ndarray:
         coeffs = report["coefficients"]
         if not isinstance(coeffs, dict):
             raise DataError("fit report 'coefficients' must be an object")
-        k = len(coeffs) // 2
-        gamma = np.empty(2 * k)
-        for j in range(k):
-            gamma[2 * j] = coeffs[f"A{j + 1}"]
-            gamma[2 * j + 1] = coeffs[f"B{j + 1}"]
+        values = [coeffs[f"{c}{j + 1}"] for j in range(len(coeffs) // 2) for c in "AB"]
     except KeyError as exc:
         raise DataError(f"fit report has no {exc.args[0]!r} key") from exc
+    gamma = _floats(values, "fit report coefficients")
+    if gamma.ndim != 1:
+        raise DataError("fit report coefficients must be numbers, not lists")
     return gamma
 
 
@@ -297,13 +296,19 @@ def penalized_wls_solve(
     beta[:, 0], beta[:, 1] = slopes, ybar - slopes * xbar
     hf = h[free]
     s0 = hf @ beta - r
-    if alpha == 0.0:
+    g00, g01 = sxx + sw * xbar**2, sw * xbar
+    # max(G00, sw) / alpha is the largest entry of G / alpha.  Where it overflows, the
+    # correction, about alpha G^-1 s0, lies below rounding: the alpha = 0 limit holds.
+    if alpha == 0.0 or max(g00, sw) / alpha == math.inf:
         correction = np.zeros(2)
     elif np.isinf(alpha):
         correction = s0 / (hf @ hf)
     else:
-        gram = np.array([[sxx + sw * xbar**2, sw * xbar], [sw * xbar, sw]])
-        correction = np.linalg.solve(gram / alpha + (hf @ hf) * np.eye(2), s0)
+        gram = np.array([[g00, g01], [g01, sw]])
+        try:
+            correction = np.linalg.solve(gram / alpha + (hf @ hf) * np.eye(2), s0)
+        except np.linalg.LinAlgError as exc:  # a pivot that cancels to zero in floating point
+            raise NumericalError(f"penalized solve failed: {exc}") from exc
     gamma[free] = beta - hf[:, None] * correction
     return gamma.reshape(-1)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import DataError
+
 MAD_CONSISTENCY = 1.4826
 
 # Asymptotic normal-consistency factor for the pairwise-difference scale.
@@ -49,7 +51,7 @@ class WeightFunctionSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("hampel", "bisquare"):
-            raise ValueError(f"unknown weight function kind: {self.kind!r}")
+            raise DataError(f"unknown weight function kind: {self.kind!r}")
 
     def weight(self, x):
         """Downweighting function value(s) for standardized distance ``x``."""
@@ -86,7 +88,7 @@ def mad_scale(values, axis: int | None = None):
     v = np.asarray(values, dtype=float)
     v = v.ravel() if axis is None else np.moveaxis(v, axis, 0)
     if v.shape[0] < 2:
-        raise ValueError("degenerate sample")
+        raise DataError("degenerate sample")
     mad = MAD_CONSISTENCY * _median(np.abs(v - _median(v)))
     return float(mad) if axis is None else mad
 
@@ -134,9 +136,9 @@ def qn_scale(values) -> float:
     y = np.sort(np.asarray(values, dtype=float), axis=None)
     n = y.size
     if n < 2:
-        raise ValueError("degenerate sample")
+        raise DataError("degenerate sample")
     if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite sample")
+        raise DataError("non-finite sample")
     h = n // 2 + 1
     kth = _kth_pairwise_difference(y, h * (h - 1) // 2)
     # -0.0 - 0.0 keeps its sign where np.sort leaves -0.0 after 0.0
@@ -289,7 +291,7 @@ def hampel_weight(x):
 def bisquare_loss(x, k: float = BISQUARE_K):
     """Bounded bisquare loss, flat at k^2/6 beyond the cutoff."""
     if k <= 0:
-        raise ValueError("bisquare_k must be positive")
+        raise DataError("bisquare_k must be positive")
     xa = np.asarray(x, dtype=float)
     inside = (k * k / 6.0) * (1.0 - (1.0 - xa * xa / (k * k)) ** 3)
     out = np.where(np.abs(xa) <= k, inside, k * k / 6.0)

@@ -19,6 +19,7 @@ from .constraints import (
     FEASIBILITY_TOLERANCE,
     ConstraintSystem,
     GranularitySplit,
+    _floats,
     arbitrage_gap,
     constraints_for_weights,
     split_from_config,
@@ -43,12 +44,12 @@ class ShapingLevel:
     max_gap: float = field(init=False)
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=float)
-        if coeffs.shape != (self.split.n_children, 2):
-            k, label = self.split.n_children, self.split.parent_label
+        k, label = self.split.n_children, self.split.parent_label
+        coeffs = _floats(self.coefficients, f"split {label!r} pairs (A_k, B_k)")
+        if coeffs.shape != (k, 2):
             raise DataError(f"split {label!r} needs ({k}, 2) pairs (A_k, B_k), not {coeffs.shape}")
         if not np.isfinite(coeffs).all():
-            raise DataError(f"split {self.split.parent_label!r} has non-finite pairs (A_k, B_k)")
+            raise DataError(f"split {label!r} has non-finite pairs (A_k, B_k)")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         gap = arbitrage_gap(constraints_for_weights(self.split.weights), coeffs.reshape(-1))
@@ -244,6 +245,8 @@ def cascade_from_config(config: dict) -> ShapingCascade:
         level_cfgs = config["levels"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"cascade config needs 'root' and 'levels': {exc}") from exc
+    if not isinstance(root, str):
+        raise DataError(f"cascade config 'root' must be a label string, not {root!r}")
     if not isinstance(level_cfgs, list):
         raise DataError("cascade config 'levels' must be a list")
     names, maps = [], []
@@ -257,6 +260,8 @@ def cascade_from_config(config: dict) -> ShapingCascade:
         level_map = {}
         for split_cfg in split_cfgs:
             split = split_from_config(split_cfg)
+            if not all(isinstance(label, str) for label in (split.parent_label, *split.child_labels)):
+                raise DataError(f"cascade level {len(names)} has a split whose labels are not all strings")
             coeffs = split_cfg.get("coefficients")
             if coeffs is None:
                 raise DataError(f"split {split.parent_label!r} has no coefficients")

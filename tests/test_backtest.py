@@ -159,6 +159,17 @@ class TestSynthesizeMarket:
         with pytest.raises(DataError, match="fraction"):
             SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, contamination_fraction=0.6)
 
+    def test_negative_seed_is_a_data_error(self):
+        with pytest.raises(DataError, match="seed must be >= 0, not -1"):
+            SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, seed=-1)
+
+    @pytest.mark.parametrize("field", ["true_gamma", "weights"])
+    @pytest.mark.parametrize("value", [{"a": 1}, ["a"] * 8, [[1.0, 0.0], [1.0]]])
+    def test_values_that_are_not_numbers_are_a_data_error(self, field, value):
+        numbers = dict(true_gamma=GAMMA4, weights=W4)
+        with pytest.raises(DataError, match=f"{field} must be numbers"):
+            SyntheticMarketConfig(**{**numbers, field: value})
+
 
 def _merged_train_test(seed=123, n_train=500, n_test=100, **contamination):
     n = n_train + n_test
@@ -362,6 +373,25 @@ def test_expanding_window_needs_history_before_each_test_date():
                 table, (days[5], days[29]), (test_start, days[40]), ["classical"], system,
                 refit_out_of_sample=True,
             )
+
+
+def test_expanding_window_before_the_first_calendar_day_is_a_data_error():
+    market = synthesize_market(
+        SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, n_dates=20, start=date.min, delivery_year=2)
+    )
+    days = market.table.dates()
+    with pytest.raises(DataError, match="empty window before 0001-01-01"):
+        backtest(
+            market.table, (days[0], days[9]), (days[0], days[-1]), ["classical"], constraints_for_weights(W4),
+            refit_out_of_sample=True,
+        )
+
+
+def test_a_method_the_comparison_lacks_is_a_data_error():
+    merged, _, _, tr, te = _merged_train_test(seed=55, n_train=30, n_test=10)
+    comp = backtest(merged, tr, te, ["classical"], constraints_for_weights(W4))
+    with pytest.raises(DataError, match="no evaluation of method 'mcrm'"):
+        comp.by_method("mcrm")
 
 
 def test_hourly_shaped_fit(rng):

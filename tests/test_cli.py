@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -141,6 +142,22 @@ class TestFit:
         )
         assert rc == 0
         assert json.loads(out.read_text())["diagnostics"]["alpha_used"] == 0.0
+
+    @pytest.mark.parametrize("method", ["classical", "mcrm"])
+    def test_subnormal_alpha_is_the_alpha_zero_limit(self, workspace, capsys, method):
+        # G / alpha overflows, so the penalty lies below rounding: no warning, no NaN
+        tmp_path, quotes, split = workspace
+        reports = []
+        for alpha in ("0", "1e-320"):
+            out = tmp_path / f"fit-{alpha}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow in G / alpha
+                argv = ["fit", "--quotes", str(quotes), "--split", str(split), "--method", method, "--alpha", alpha]
+                assert main([*argv, "--out", str(out)]) == 0
+            reports.append(_strict_json(out.read_text())["coefficients"])
+        assert reports[1] == reports[0]
+        assert all(math.isfinite(v) for v in reports[0].values())
+        assert capsys.readouterr().err == ""
 
 
 class TestPredict:
@@ -501,6 +518,13 @@ def test_missing_json_key_is_a_data_error(tmp_path, capsys, command, key):
     assert repr(key) in capsys.readouterr().err
 
 
+_PAIRS = {f"{c}{j}": float(c == "A") for j in range(1, 5) for c in "AB"}
+
+
+def _cascade(coefficients=((1.0, 0.0),) * 4, root="CAL-2014", **split):
+    return {"root": root, "levels": [{"name": "YtQ", "splits": [dict(SPLIT_CONFIG, coefficients=coefficients, **split)]}]}
+
+
 @pytest.mark.parametrize(
     "command, payload, with_coeffs",
     [
@@ -512,6 +536,11 @@ def test_missing_json_key_is_a_data_error(tmp_path, capsys, command, key):
         ("predict", {"root": "CAL-2014", "levels": 5}, True),
         ("predict", {"root": "CAL-2014", "levels": [{"splits": 3}]}, False),
         ("predict", {"root": "CAL-2014", "levels": [{"splits": 3}]}, True),
+        ("check-arbitrage", {"coefficients": dict(_PAIRS, A1={"x": 1})}, False),
+        ("predict", _cascade({"a": 1}), False),
+        ("predict", _cascade(weights={"a": 1}), False),
+        ("predict", _cascade(children=[1, 2, 3, 4]), False),
+        ("predict", _cascade(root=["x"]), False),
     ],
 )
 def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, command, payload, with_coeffs):
@@ -528,6 +557,48 @@ def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, command, payl
         argv += ["--coeffs", str(report)]
     assert main([command, *argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, bad, payload, message",
+    [
+        ("fit", "--split", dict(SPLIT_CONFIG, weights={"a": 1}), "split weights must be numbers"),
+        ("check-arbitrage", "--split", dict(SPLIT_CONFIG, weights={"a": 1}), "split weights must be numbers"),
+        ("fit", "--split", dict(SPLIT_CONFIG, weights=["a"] * 4), "split weights must be numbers"),
+        ("fit", "--split", dict(SPLIT_CONFIG, weights=[[0.5], [0.25, 0.25]]), "split weights must be numbers"),
+        ("fit", "--split", dict(SPLIT_CONFIG, children="Q1-2014"), "'children' must be a list of labels"),
+        ("predict", "--coeffs", {"coefficients": dict(_PAIRS, A1={"x": 1})}, "fit report coefficients must be numbers"),
+        ("check-arbitrage", "--coeffs", {"coefficients": dict(_PAIRS, A1="x")}, "fit report coefficients must be numbers"),
+        ("check-arbitrage", "--coeffs", {"coefficients": dict(_PAIRS, A1=[1.0])}, "fit report coefficients must be numbers"),
+        ("predict", "--cascade", _cascade([["a", "b"]] * 4), "'CAL-2014' pairs (A_k, B_k) must be numbers"),
+        ("predict", "--cascade", _cascade([[1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), "pairs (A_k, B_k) must be numbers"),
+        ("predict", "--cascade", _cascade(weights=["a"] * 4), "split weights must be numbers"),
+        ("predict", "--cascade", _cascade(weights=[[0.5], [0.25, 0.25]]), "split weights must be numbers"),
+        ("simulate", "--gamma", {"gamma": None}, "at least one (A, B) pair"),
+        ("simulate", "--gamma", {"gamma": []}, "at least one (A, B) pair"),
+        ("simulate", "--gamma", {"gamma": [1]}, "at least one (A, B) pair"),
+        ("simulate", "--gamma", {"gamma": True}, "at least one (A, B) pair"),
+        ("simulate", "--gamma", {"gamma": {"a": 1}}, "must be numbers"),
+        ("simulate", "--gamma", {"gamma": ["a"] * 8}, "must be numbers"),
+        ("simulate", "--gamma", {"gamma": [[1.12, -1.6], [0.88]]}, "must be numbers"),
+    ],
+)
+def test_json_values_of_the_wrong_type_are_a_data_error(desk_quotes, tmp_path, capsys, command, bad, payload, message):
+    _, quotes = desk_quotes
+    docs = {"--split": SPLIT_CONFIG, "--coeffs": {"coefficients": _PAIRS}, "--cascade": _cascade(None), bad: payload}
+    path = {flag: tmp_path / f"{flag[2:]}.json" for flag in docs}
+    for flag, doc in docs.items():
+        path[flag].write_text(json.dumps(doc))
+    argv = {
+        "fit": ["--quotes", quotes, "--split", path["--split"]],
+        "check-arbitrage": ["--coeffs", path["--coeffs"], "--split", path["--split"]],
+        "predict": ["--cascade", path["--cascade"], "--parent-price", "50", "--target", "quarter"]
+        + (["--coeffs", path["--coeffs"]] if bad == "--coeffs" else []),
+        "simulate": ["--n-dates", "20", "--out", tmp_path / "q.csv", "--gamma", path.get("--gamma")],
+    }[command]
+    assert main([command, *map(str, argv)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
 
 
 class TestSimulate:
@@ -573,6 +644,20 @@ class TestSimulate:
         out = tmp_path / "q.csv"
         assert main(["simulate", "--out", str(out), *flags]) == 2
         assert "CAL-2014 delivery starts" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be >= 0, not -1"),
+            (["--year", "0"], "--year must lie in 1..9999, not 0"),
+            (["--year", "10000"], "--year must lie in 1..9999, not 10000"),
+        ],
+    )
+    def test_seed_and_year_out_of_range_are_a_data_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "q.csv"
+        assert main(["simulate", "--out", str(out), "--n-dates", "20", *flags]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_dates", ["-1", "0", "1", "2"])
@@ -756,6 +841,97 @@ def test_simulate_then_fit_keeps_the_exit_code_contract(tmp_path, n_dates, fract
         if run([*argv, *inputs, "--out", str(table)]) == 0:
             rows = [line.split(",")[text_fields:] for line in table.read_text().splitlines()[1:]]
             assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+# What a mutation puts in place of a value: another JSON type, as text.
+_JSON_SWAPS = ["null", "true", "1", '"x"', '"Q1-2014"', '{"a": 1}', "[[1.0, 0.0]]", "[]", "[1.0, 0.0, 1.0]"]
+_QUARTER_PAIRS = [[1.12, -1.6], [0.88, 1.4], [0.92, 0.9], [1.08, -0.7]]
+_MONTHS = ["M-2014-01", "M-2014-02", "M-2014-03"]
+
+
+def _paths(node, path=()):
+    """The path to every value below the top of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(data, doc):
+    """``doc`` with up to two of its values swapped for another JSON type."""
+    doc = json.loads(json.dumps(doc))
+    for path in data.draw(st.lists(st.sampled_from(list(_paths(doc))), max_size=2)):
+        with contextlib.suppress(LookupError, TypeError):  # an earlier swap replaced a parent
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = json.loads(data.draw(st.sampled_from(_JSON_SWAPS)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def desk_quotes(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("desk")
+    quotes = folder / "q.csv"
+    assert main(["simulate", "--out", str(quotes), "--seed", "7", "--n-dates", "60", "--fraction", "0.1"]) == 0
+    return folder, quotes
+
+
+@given(
+    data=st.data(),
+    alpha=st.one_of(
+        st.sampled_from(["AUTO", "auto", "0", "5e-324", "1e-320", "2e-308", "1e308"]),
+        st.floats(0.0, 1e308).map(repr),
+    ),
+    method=st.sampled_from(["mcrm", "classical", "ratio-average"]),
+    target=st.sampled_from(["quarter", "Q1-2014", "M-2014-02"]),
+    fill_from_report=st.booleans(),
+)
+def test_mutated_json_keeps_the_exit_code_contract(desk_quotes, data, alpha, method, target, fill_from_report):
+    folder, quotes = desk_quotes
+    docs = {
+        "split.json": dict(SPLIT_CONFIG),
+        "report.json": {"method": method, "coefficients": {f"{c}{j + 1}": v for j, pair in enumerate(_QUARTER_PAIRS) for c, v in zip("AB", pair)}},
+        "cascade.json": {
+            "root": "CAL-2014",
+            "levels": [
+                {"name": "YtQ", "splits": [dict(SPLIT_CONFIG, coefficients=None if fill_from_report else _QUARTER_PAIRS)]},
+                {"name": "QtM", "splits": [{"parent": "Q1-2014", "children": _MONTHS, "coefficients": [[1.0, 0.0]] * 3}]},
+            ],
+        },
+        "gamma.json": {"gamma": [v for pair in _QUARTER_PAIRS for v in pair]},
+    }
+    split, report, cascade, gamma = (folder / name for name in docs)
+    for name, doc in docs.items():
+        (folder / name).write_text(json.dumps(_mutated(data, doc)))
+    out = folder / "out"
+
+    def run(argv):
+        """The exit code, with ``out`` holding what an exit 0 wrote."""
+        out.unlink(missing_ok=True)
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and not out.exists():
+            out.write_text(stdout.getvalue())
+        return code
+
+    fit = ["--quotes", str(quotes), "--split", str(split), "--alpha", alpha]
+    if run(["fit", *fit, "--method", method, "--out", str(out)]) == 0:
+        assert all(math.isfinite(v) for v in _numbers(_strict_json(out.read_text())))
+    if run(["check-arbitrage", "--coeffs", str(report), "--split", str(split)]) == 0:
+        assert math.isfinite(float(out.read_text().split(":")[1].split()[0]))
+    coeffs = ["--coeffs", str(report)] if fill_from_report else []
+    if run(["predict", "--cascade", str(cascade), *coeffs, "--parent-price", "50", "--target", target, "--out", str(out)]) == 0:
+        assert all(math.isfinite(float(line.split(",")[-1])) for line in out.read_text().splitlines()[1:])
+    ranges = ["--train", "2013-01-02:2013-02-20", "--test", "2013-02-21:2013-03-02"]
+    if run(["backtest", *fit, *ranges, "--methods", method, "--out", str(out)]) == 0:
+        rows = [line.split(",")[2:] for line in out.read_text().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+    if run(["simulate", "--gamma", str(gamma), "--n-dates", "20", "--out", str(out)]) == 0:
+        assert all(math.isfinite(float(line.split(",")[-1])) for line in out.read_text().splitlines()[1:])
 
 
 def test_the_one_parser_carries_nothing_from_call_to_call(workspace, capsys):

@@ -178,6 +178,23 @@ class TestPenalizedSolve:
             solution = penalized_wls_solve(ds.x, ds.y, np.ones(50), equal_weight_system, alpha)
             np.testing.assert_allclose(solution, gamma, atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-310])
+    def test_penalty_below_rounding_is_the_alpha_zero_limit(self, rng, equal_weight_system, alpha):
+        # G / alpha overflows a float: the solve returns the alpha = 0 pairs, bit for bit
+        ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=60)
+        w = rng.uniform(0.2, 1.0, 60)
+        ols = penalized_wls_solve(ds.x, ds.y, w, equal_weight_system, 0.0)
+        np.testing.assert_array_equal(penalized_wls_solve(ds.x, ds.y, w, equal_weight_system, alpha), ols)
+
+    def test_a_singular_penalized_system_is_a_numerical_error(self, rng, equal_weight_system, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=20)
+        with pytest.raises(NumericalError, match="penalized solve failed: Singular matrix"):
+            penalized_wls_solve(ds.x, ds.y, np.ones(20), equal_weight_system, 1.0)
+
     def test_matches_bruteforce_minimizer(self, rng):
         from scipy import optimize
 

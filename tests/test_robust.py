@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curveshape import robust
+from curveshape.exceptions import DataError
 from curveshape.robust import (
     BISQUARE_K,
     HAMPEL_A,
@@ -83,9 +84,9 @@ class TestMadScale:
             assert mad_scale(s * v + t) == pytest.approx(abs(s) * mad_scale(v), rel=1e-12, abs=1e-300)
 
     def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate sample"):
+        with pytest.raises(DataError, match="degenerate sample"):
             mad_scale([1.0])
-        with pytest.raises(ValueError, match="degenerate sample"):
+        with pytest.raises(DataError, match="degenerate sample"):
             mad_scale(np.ones((1, 3)), axis=0)
 
     def test_axis_matches_per_column(self, rng):
@@ -183,12 +184,12 @@ class TestQnScale:
         assert qn == 0.0 and not np.signbit(qn)
 
     def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate sample"):
+        with pytest.raises(DataError, match="degenerate sample"):
             qn_scale([3.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite(self, bad):
-        with pytest.raises(ValueError, match="non-finite sample"):
+        with pytest.raises(DataError, match="non-finite sample"):
             qn_scale(np.r_[np.arange(20.0), bad])
 
     @settings(max_examples=120)
@@ -596,13 +597,13 @@ class TestBisquare:
             assert x * bisquare_weight(x) == pytest.approx(psi, rel=1e-6)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             bisquare_loss(1.0, 0.0)
 
 
 class TestWeightFunctionSpec:
     def test_invalid_cutoffs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             WeightFunctionSpec("huber")
 
     def test_dispatch(self):
