@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from datetime import date, timedelta
+from datetime import MAXYEAR, MINYEAR, date, timedelta
 
 import numpy as np
 
-from .constraints import ConstraintSystem, _floats, arbitrage_gap, constraints_for_weights
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, arbitrage_gap, constraints_for_weights
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
 from .exceptions import DataError
 from .market import QuoteTable, build_regression_dataset
@@ -92,6 +92,11 @@ class SyntheticMarketConfig:
             raise DataError("synthetic market parameters must be finite")
         if not self.seed >= 0:  # numpy seeds with non-negative integers only
             raise DataError(f"seed must be >= 0, not {self.seed}")
+        if not MINYEAR <= self.delivery_year < MAXYEAR:  # the delivery year ends where the next begins
+            raise DataError(f"delivery_year must lie in {MINYEAR}..{MAXYEAR - 1}, not {self.delivery_year}")
+        most = (date.max - self.start).days + 1  # quote dates run from start, a day apart
+        if not 0 <= self.n_dates <= most:
+            raise DataError(f"n_dates must lie in 0..{most} from {self.start}, not {self.n_dates}")
         if not 0.0 <= self.contamination_fraction < 0.5:
             raise DataError("contamination fraction must lie in [0, 0.5)")
         if self.contamination_type not in ("vertical", "leverage"):
@@ -99,7 +104,7 @@ class SyntheticMarketConfig:
         if self.contamination_sign not in ("random", "positive", "negative"):
             raise DataError(f"unknown contamination sign: {self.contamination_sign!r}")
         gap = arbitrage_gap(constraints_for_weights(weights), gamma)
-        if not gap <= 1e-10:  # a NaN gap violates too
+        if not gap <= FEASIBILITY_TOLERANCE:  # a NaN gap violates too
             raise DataError(f"true gamma violates non-arbitrage (gap {gap:.3g})")
 
 
@@ -253,27 +258,21 @@ def backtest(
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
     # Case ids lead with the ISO quote date, and the rows are sorted by it.
     days = [case_id.split("|")[0] for case_id in dataset.case_ids]
-    train = _dated_rows(dataset, days, *train_range, "train range")
-    test = _dated_rows(dataset, days, *test_range, "test range")
+    start = bisect_left(days, train_range[0].isoformat())
+    train = _rows(dataset, start, bisect_right(days, train_range[1].isoformat()), "train range")
+    test_start = bisect_left(days, test_range[0].isoformat())
+    test_stop = bisect_right(days, test_range[1].isoformat())
+    test = _rows(dataset, test_start, test_stop, "test range")
     evaluations = []
     for method in methods:
         fit = fit_method(method, train, system, config)
+        predictions = fit.predict(test.x)
         if refit_out_of_sample:
-            predictions = np.empty_like(test.y)
-            refit_day = None
-            for i, case_id in enumerate(test.case_ids):
-                day = date.fromisoformat(case_id.split("|")[0])
-                if day != refit_day:
-                    if day == date.min:  # no day before it to end a window on
-                        raise DataError(f"empty window before {day}")
-                    window = _dated_rows(
-                        dataset, days, train_range[0], day - timedelta(days=1),
-                        f"window before {day}",
-                    )
-                    refit, refit_day = fit_method(method, window, system, config), day
-                predictions[i] = refit.predict(test.x[i : i + 1])[0]
-        else:
-            predictions = fit.predict(test.x)
+            for day in dict.fromkeys(days[test_start:test_stop]):  # each test date once, in order
+                end = bisect_left(days, day)
+                window = _rows(dataset, start, end, f"window before {day}")
+                rows = slice(end - test_start, bisect_right(days, day) - test_start)
+                predictions[rows] = fit_method(method, window, system, config).predict(test.x[rows])
         evaluations.append(
             MethodEvaluation(
                 method=method,
@@ -287,9 +286,8 @@ def backtest(
     )
 
 
-def _dated_rows(dataset: Dataset, days: list[str], start: date, end: date, what: str) -> Dataset:
-    """The rows quoted from ``start`` to ``end``; ``days`` holds each row's sorted ISO date."""
-    rows = slice(bisect_left(days, start.isoformat()), bisect_right(days, end.isoformat()))
-    if rows.start == rows.stop:
+def _rows(dataset: Dataset, start: int, stop: int, what: str) -> Dataset:
+    """Rows ``start`` up to ``stop`` of ``dataset``; none, or a slice that ends before it starts, is an error."""
+    if stop <= start:
         raise DataError(f"empty {what}")
-    return Dataset(x=dataset.x[rows], y=dataset.y[rows], case_ids=dataset.case_ids[rows])
+    return Dataset(x=dataset.x[start:stop], y=dataset.y[start:stop], case_ids=dataset.case_ids[start:stop])

@@ -52,7 +52,7 @@ def _read_json(path: str) -> dict:
         raise DataError(f"cannot read file: {path}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past int()'s digit limit
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path} must hold a JSON object")
@@ -227,8 +227,8 @@ def _cmd_outliers(args) -> int:
 
 def _cmd_check_arbitrage(args) -> int:
     gamma = gamma_from_report(_read_json(args.coeffs))
-    _, system, _ = _load_split_and_system(args.split)
-    max_gap = arbitrage_gap(system, gamma)
+    split = split_from_config(_read_json(args.split))  # any labels: the check reads only the weights
+    max_gap = arbitrage_gap(constraints_for_weights(split.weights), gamma)
     sys.stdout.write(f"max-abs arbitrage gap: {max_gap:.6g} (tolerance {args.tol:g})\n")
     if not max_gap <= args.tol:  # a NaN gap is a violation
         sys.stderr.write("non-arbitrage constraints violated\n")
@@ -246,15 +246,9 @@ def _cmd_simulate(args) -> int:
             raise DataError(f"'gamma' in {args.gamma} must hold at least one (A, B) pair")
     else:
         gamma = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
-    if not 1 <= args.year <= 9999:
-        raise DataError(f"--year must lie in 1..9999, not {args.year}")
-    start, delivery = _parse_date(args.start_date), date(args.year, 1, 1)
+    start = _parse_date(args.start_date)
     if args.n_dates < 3:  # the fewest cases a fit takes
         raise DataError(f"--n-dates must be at least 3, not {args.n_dates}")
-    if args.n_dates - 1 > (delivery - start).days:  # the rule load_quotes holds each row to
-        raise DataError(
-            f"{args.n_dates} quote dates from {start} run past {delivery}, when CAL-{args.year} delivery starts"
-        )
     k = gamma.size // 2
     weights = np.full(k, 1.0 / k)
     config = SyntheticMarketConfig(
@@ -270,6 +264,11 @@ def _cmd_simulate(args) -> int:
         contamination_type=args.contamination_type,
         seed=args.seed,
     )
+    delivery = date(args.year, 1, 1)  # the config has checked the year
+    if args.n_dates - 1 > (delivery - start).days:  # the rule load_quotes holds each row to
+        raise DataError(
+            f"{args.n_dates} quote dates from {start} run past {delivery}, when CAL-{args.year} delivery starts"
+        )
     market = synthesize_market(config)
     _write_text(args.out, market.table.to_csv())
     if args.labels_out:

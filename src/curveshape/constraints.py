@@ -20,11 +20,18 @@ FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap that counts as arbitrage-f
 
 
 def _floats(value, what: str) -> np.ndarray:
-    """A new float array of ``value``, which a config or caller supplied; ``what`` names it in the error."""
+    """A new float array of ``value``, which a config or caller supplied; ``what`` names it in the error.
+
+    Text is refused even where it spells a number; ``None`` (JSON null) becomes NaN.
+    """
+    message = f"{what} must be numbers in a regular array"
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # a string, an object or lists of unequal length
-        raise DataError(f"{what} must be numbers in a regular array") from exc
+        array = np.asarray(value)
+        if not (array.dtype.kind in "OU" and any(isinstance(v, str) for v in array.flat)):
+            return np.array(array, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # an object, ragged lists or an int past a float
+        raise DataError(message) from exc
+    raise DataError(message)
 
 
 @dataclass(frozen=True)

@@ -127,14 +127,11 @@ class FitResult:
         return xa[..., None] * self.slopes + self.intercepts
 
     def to_report(self) -> dict:
-        k = self.gamma.size // 2
-        coeffs = {}
-        for j in range(k):
-            coeffs[f"A{j + 1}"] = float(self.gamma[2 * j])
-            coeffs[f"B{j + 1}"] = float(self.gamma[2 * j + 1])
         return {
             "method": self.method,
-            "coefficients": coeffs,
+            "coefficients": {
+                f"{c}{j + 1}": float(g) for j, pair in enumerate(self.gamma.reshape(-1, 2)) for c, g in zip("AB", pair)
+            },
             "case_weights": {
                 cid: float(w) for cid, w in zip(self.case_ids, self.case_weights)
             },
@@ -273,7 +270,7 @@ def penalized_wls_solve(
         r -= h[j] * gamma[j]
     free = [j for j in range(k) if j not in pins] if pins else slice(None)
     if not free:
-        if not np.max(np.abs(r)) <= 1e-9:  # a NaN residual is infeasible too
+        if not arbitrage_gap(system, gamma.reshape(-1)) <= FEASIBILITY_TOLERANCE:
             raise DataError("infeasible fixing")
         return gamma.reshape(-1)
 

@@ -2,14 +2,18 @@
 
 import csv
 import importlib
+import re
 import warnings
+from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import arbitrage_free_gamma, synthetic_dataset
 from curveshape import (
+    Dataset,
     SyntheticMarketConfig,
     XPathParams,
     backtest,
@@ -19,8 +23,8 @@ from curveshape import (
     irls_fit,
     synthesize_market,
 )
-from curveshape.backtest import MetricsReport, fit_method
-from curveshape.exceptions import DataError
+from curveshape.backtest import ComparisonTable, MethodEvaluation, MetricsReport, fit_method
+from curveshape.exceptions import CurveShapeError, DataError
 from curveshape.market import QuoteTable
 
 GAMMA4 = np.array([1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7])
@@ -158,6 +162,38 @@ class TestSynthesizeMarket:
             SyntheticMarketConfig(true_gamma=np.array([1.5, 0.0] * 4), weights=W4)
         with pytest.raises(DataError, match="fraction"):
             SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, contamination_fraction=0.6)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (dict(n_dates=-5), f"n_dates must lie in 0..{(date.max - date(2013, 1, 2)).days + 1} from 2013-01-02, not -5"),
+            (dict(n_dates=4_000_000), "not 4000000"),
+            (dict(start=date(9999, 12, 30)), "n_dates must lie in 0..2 from 9999-12-30, not 250"),
+            (dict(start=date(9999, 12, 1), n_dates=32), "n_dates must lie in 0..31 from 9999-12-01, not 32"),
+            (dict(delivery_year=0), "delivery_year must lie in 1..9998, not 0"),
+            (dict(delivery_year=9999), "delivery_year must lie in 1..9998, not 9999"),
+            (dict(delivery_year=10000), "delivery_year must lie in 1..9998, not 10000"),
+        ],
+    )
+    def test_a_calendar_past_the_date_range_is_a_data_error(self, params, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, **params)
+
+    @pytest.mark.parametrize(
+        "params, quotes",
+        [(dict(n_dates=0), 0), (dict(start=date(9999, 12, 1), n_dates=31), 155), (dict(delivery_year=9998), 1250)],
+    )
+    def test_the_calendar_edges_synthesize(self, params, quotes):
+        assert len(synthesize_market(SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, **params)).table) == quotes
+
+    @pytest.mark.parametrize("gap, feasible", [(1e-8, True), (5e-7, True), (2e-6, False)])
+    def test_true_gamma_is_held_to_the_feasibility_tolerance(self, gap, feasible):
+        gamma = GAMMA4 + np.array([0, 0, 0, 0, 0, 0, 0, 4 * gap])  # h . B = gap
+        if feasible:
+            SyntheticMarketConfig(true_gamma=gamma, weights=W4)
+        else:
+            with pytest.raises(DataError, match="violates non-arbitrage"):
+                SyntheticMarketConfig(true_gamma=gamma, weights=W4)
 
     def test_negative_seed_is_a_data_error(self):
         with pytest.raises(DataError, match="seed must be >= 0, not -1"):
@@ -367,12 +403,21 @@ def test_expanding_window_refits_once_per_test_date(monkeypatch):
 def test_expanding_window_needs_history_before_each_test_date():
     table, days = _two_parent_table()
     system = constraints_for_weights(W4)
-    for test_start in (days[0], days[5]):
-        with pytest.raises(DataError):
+    for test_start in (days[0], days[5]):  # before the train start, and on it
+        with pytest.raises(DataError, match=f"^empty window before {test_start}$"):
             backtest(
                 table, (days[5], days[29]), (test_start, days[40]), ["classical"], system,
                 refit_out_of_sample=True,
             )
+
+
+def test_a_range_that_ends_before_it_starts_is_empty():
+    # The CLI refuses such a range first; the library names it as it names an empty one.
+    table, days = _two_parent_table()
+    system = constraints_for_weights(W4)
+    for train, test, what in (((days[20], days[10]), (days[38], days[-1]), "train"), ((days[0], days[29]), (days[45], days[40]), "test")):
+        with pytest.raises(DataError, match=f"^empty {what} range$"):
+            backtest(table, train, test, ["classical"], system)
 
 
 def test_expanding_window_before_the_first_calendar_day_is_a_data_error():
@@ -402,3 +447,88 @@ def test_hourly_shaped_fit(rng):
     result = irls_fit(ds, system)
     assert result.arbitrage_gap_maxabs <= 1e-6
     assert np.max(np.abs(result.slopes - gamma[0::2])) < 0.2
+
+
+def _date_loop_backtest(table, train_range, test_range, methods, system, refit_out_of_sample=False):
+    """``backtest`` as it walked test cases by date, kept as the oracle of its row-position walk.
+
+    Each test case parses its date; a new date refits on the rows dated from
+    the train start to the day before it.
+    """
+
+    def dated_rows(dataset, days, start, end, what):
+        rows = slice(bisect_left(days, start.isoformat()), bisect_right(days, end.isoformat()))
+        if rows.start == rows.stop:
+            raise DataError(f"empty {what}")
+        return Dataset(x=dataset.x[rows], y=dataset.y[rows], case_ids=dataset.case_ids[rows])
+
+    first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
+    dataset, _ = build_regression_dataset(table.filter_dates(first, last))
+    days = [case_id.split("|")[0] for case_id in dataset.case_ids]
+    train = dated_rows(dataset, days, *train_range, "train range")
+    test = dated_rows(dataset, days, *test_range, "test range")
+    evaluations = []
+    for method in methods:
+        fit = fit_method(method, train, system)
+        if refit_out_of_sample:
+            predictions = np.empty_like(test.y)
+            refit_day = None
+            for i, case_id in enumerate(test.case_ids):
+                day = date.fromisoformat(case_id.split("|")[0])
+                if day != refit_day:
+                    if day == date.min:
+                        raise DataError(f"empty window before {day}")
+                    window = dated_rows(dataset, days, train_range[0], day - timedelta(days=1), f"window before {day}")
+                    refit, refit_day = fit_method(method, window, system), day
+                predictions[i] = refit.predict(test.x[i : i + 1])[0]
+        else:
+            predictions = fit.predict(test.x)
+        evaluations.append(
+            MethodEvaluation(method, fit, compute_metrics(train.y, fit.predict(train.x)), compute_metrics(test.y, predictions))
+        )
+    return ComparisonTable(evaluations=evaluations, train_rows=train.n_cases, test_rows=test.n_cases)
+
+
+def _outcome(run):
+    """The comparison CSV with its row counts, or the error's type and text."""
+    try:
+        comp = run()
+    except CurveShapeError as exc:
+        return type(exc).__name__, str(exc)
+    return comp.to_csv(), comp.train_rows, comp.test_rows
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**16),
+    two_parents=st.booleans(),
+    contamination=st.sampled_from([0.0, 0.1, 0.2]),
+    train_at=st.integers(-3, 12),
+    train_days=st.integers(2, 40),
+    test_after=st.integers(-4, 36),
+    test_days=st.integers(0, 12),
+)
+def test_walking_rows_by_position_matches_the_date_loop(seed, two_parents, contamination, train_at, train_days, test_after, test_days):
+    # 40 quote dates of CAL-2014, or of CAL-2014 and CAL-2015 with about 3% of the
+    # quotes dropped; train and test ranges may overlap, leave gaps or reach past the quotes.
+    base = dict(true_gamma=GAMMA4, weights=W4, n_dates=40, contamination_fraction=contamination, seed=seed)
+    table = synthesize_market(SyntheticMarketConfig(**base)).table
+    if two_parents:
+        table = table.merged_with(synthesize_market(SyntheticMarketConfig(**{**base, "seed": seed + 1, "delivery_year": 2015})).table)
+        keep = np.random.default_rng(seed).random(len(table)) > 0.03
+        table = QuoteTable(table.days[keep], table.codes[keep], table.prices[keep], table.labels)
+    offsets = (train_at, train_at + train_days, train_at + test_after, train_at + test_after + test_days)
+    a, b, c, d = (date(2013, 1, 2) + timedelta(days=i) for i in offsets)
+    train, test = (a, b), (c, d)
+    system = constraints_for_weights(W4)
+    methods = ["mcrm", "classical", "ratio-average"]
+    for refit in (False, True):
+        new = _outcome(lambda: backtest(table, train, test, methods, system, refit_out_of_sample=refit))
+        old = _outcome(lambda: _date_loop_backtest(table, train, test, methods, system, refit_out_of_sample=refit))
+        if old == ("DataError", "need at least 3 cases") and new != old:
+            # A window ending before the train start once sliced to no rows; it is now named.
+            kind, text = new
+            assert kind == "DataError" and text.startswith("empty window before ")
+            assert date.fromisoformat(text.removeprefix("empty window before ")) < train[0]
+        else:
+            assert new == old

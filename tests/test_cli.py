@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import curveshape
 from curveshape.cli import main
 from curveshape.periods import month_period
+from curveshape.constraints import split_to_config
 from curveshape.shaping import daytype_split, hour_split
 
 SPLIT_CONFIG = {
@@ -500,6 +501,32 @@ class TestCheckArbitrage:
         assert "violated" in capsys.readouterr().err
 
 
+    def test_null_coefficient_is_a_nan_gap(self, workspace, capsys):
+        tmp_path, _, split = workspace
+        coeffs = tmp_path / "null.json"
+        coeffs.write_text(json.dumps({"coefficients": dict(_PAIRS, A1=None)}))
+        assert main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split)]) == 2
+        captured = capsys.readouterr()
+        assert "arbitrage gap: nan" in captured.out and "violated" in captured.err
+
+    @pytest.mark.parametrize(
+        "split",
+        [split_to_config(daytype_split(month_period(2014, 1))), split_to_config(hour_split("M-2014-01:WD"))],
+        ids=["day-types", "24-hours"],
+    )
+    @pytest.mark.parametrize("slope, code", [(1.0, 0), (1.01, 2)])
+    def test_any_weighted_split(self, tmp_path, capsys, split, slope, code):
+        # The check reads only the split's weights, so labels that are not periods pass too.
+        split_path, coeffs = tmp_path / "split.json", tmp_path / "coeffs.json"
+        split_path.write_text(json.dumps(split))
+        pairs = {f"{c}{j + 1}": slope if c == "A" else 0.0 for j in range(len(split["weights"])) for c in "AB"}
+        coeffs.write_text(json.dumps({"coefficients": pairs}))
+        assert main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith("max-abs arbitrage gap: ")
+        assert ("violated" in captured.err) == bool(code)
+
+
 @pytest.mark.parametrize(
     "command, key",
     [("check-arbitrage", "coefficients"), ("predict", "coefficients"), ("simulate", "gamma")],
@@ -581,6 +608,15 @@ def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, command, payl
         ("simulate", "--gamma", {"gamma": {"a": 1}}, "must be numbers"),
         ("simulate", "--gamma", {"gamma": ["a"] * 8}, "must be numbers"),
         ("simulate", "--gamma", {"gamma": [[1.12, -1.6], [0.88]]}, "must be numbers"),
+        # Text is refused even where it spells a number, and so is an int past the largest float.
+        ("check-arbitrage", "--split", dict(SPLIT_CONFIG, weights=["0.25"] * 4), "split weights must be numbers"),
+        ("check-arbitrage", "--split", dict(SPLIT_CONFIG, weights="0.25"), "split weights must be numbers"),
+        ("check-arbitrage", "--split", dict(SPLIT_CONFIG, weights=[0.25, None, "0.25", 0.25]), "split weights must be numbers"),
+        ("check-arbitrage", "--split", dict(SPLIT_CONFIG, weights=[10**400, 1, 1, 1]), "split weights must be numbers"),
+        ("check-arbitrage", "--coeffs", {"coefficients": {k: str(int(v)) for k, v in _PAIRS.items()}}, "fit report coefficients must be numbers"),
+        ("fit", "--split", dict(SPLIT_CONFIG, weights=["0.25"] * 4), "split weights must be numbers"),
+        ("predict", "--cascade", _cascade([["1", "0"]] * 4), "'CAL-2014' pairs (A_k, B_k) must be numbers"),
+        ("simulate", "--gamma", {"gamma": ["1.12", "-1.6", "0.88", "1.4", "0.92", "0.9", "1.08", "-0.7"]}, "must be numbers"),
     ],
 )
 def test_json_values_of_the_wrong_type_are_a_data_error(desk_quotes, tmp_path, capsys, command, bad, payload, message):
@@ -650,8 +686,9 @@ class TestSimulate:
         "flags, message",
         [
             (["--seed", "-1"], "seed must be >= 0, not -1"),
-            (["--year", "0"], "--year must lie in 1..9999, not 0"),
-            (["--year", "10000"], "--year must lie in 1..9999, not 10000"),
+            (["--year", "0"], "delivery_year must lie in 1..9998, not 0"),
+            (["--year", "10000"], "delivery_year must lie in 1..9998, not 10000"),
+            (["--year", "9999"], "delivery_year must lie in 1..9998, not 9999"),  # CAL-9999 ends in year 10000
         ],
     )
     def test_seed_and_year_out_of_range_are_a_data_error(self, tmp_path, capsys, flags, message):
@@ -684,6 +721,13 @@ class TestSimulate:
         assert main(["simulate", "--out", str(quotes), "--n-dates", "365"]) == 0
         assert quotes.read_text().splitlines()[-1].startswith("2014-01-01,")
         assert main(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(fit)]) == 0
+
+    def test_gamma_within_the_feasibility_tolerance_is_arbitrage_free(self, tmp_path):
+        # h . B = 1e-8, inside FEASIBILITY_TOLERANCE (1e-6): the true gamma is arbitrage-free.
+        gamma_file, out = tmp_path / "gamma.json", tmp_path / "q.csv"
+        gamma_file.write_text(json.dumps({"gamma": [1.12, -1.6, 0.88, 1.4, 0.92, 0.9, 1.08, -0.7 + 4e-8]}))
+        assert main(["simulate", "--gamma", str(gamma_file), "--n-dates", "20", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 20 * 5
 
     def test_simulate_then_fit_recovers_gamma(self, tmp_path):
         quotes = tmp_path / "q.csv"
@@ -735,6 +779,32 @@ def test_non_finite_number_flag_is_a_data_error(tmp_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert "must be finite" in captured.err and "arbitrage gap" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--split", "BAD"], "invalid JSON in {BAD}: Expecting property name"),
+        (["check-arbitrage", "--coeffs", "BAD", "--split", "SPLIT"], "invalid JSON in {BAD}: Expecting property name"),
+        (["fit", "--split", "HUGE"], "invalid JSON in {HUGE}: Exceeds the limit (4300 digits)"),
+        (["fit", "--split", "SPLIT", "--alpha", "one"], "bad --alpha value 'one'; expected AUTO or a number"),
+        (["backtest", "--split", "SPLIT", "--train", "2013-02-30:2013-03-31", "--test", "2013-04-01:2013-05-01"],
+         "bad date '2013-02-30'; expected ISO-8601"),
+        (["backtest", "--split", "SPLIT", "--train", "2013-01-02:2013-03-31", "--test", "2013-04-01:May"],
+         "bad date 'May'; expected ISO-8601"),
+    ],
+)
+def test_text_that_does_not_parse_is_a_data_error(workspace, capsys, argv, message):
+    tmp_path, quotes, split = workspace
+    (tmp_path / "bad.json").write_text('{"parent": "CAL-2014", ')
+    (tmp_path / "huge.json").write_text('{"weights": [1' + "0" * 5000 + "]}")
+    paths = {"BAD": tmp_path / "bad.json", "HUGE": tmp_path / "huge.json", "SPLIT": split}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    if argv[0] != "check-arbitrage":
+        argv += ["--quotes", str(quotes)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(**paths) in err
 
 
 def _strict_json(text: str):
@@ -955,3 +1025,75 @@ def test_the_one_parser_carries_nothing_from_call_to_call(workspace, capsys):
         assert (fresh.returncode, fresh.stdout) == (0, report)
     assert reports[0] != reports[1]
     assert cli.build_parser() is cli.build_parser()
+
+
+# Quote families a split can name, by child count: each date quotes the parent and every child.
+_FAMILIES = {
+    3: ("Q1-2014", _MONTHS),
+    4: ("CAL-2014", SPLIT_CONFIG["children"]),
+    12: ("CAL-2014", [f"M-2014-{m:02d}" for m in range(1, 13)]),
+    24: ("D-2014-01-15", [f"H-2014-01-15-{h:02d}" for h in range(24)]),
+}
+# What a mutation puts in place of one field of a quote row.
+_FIELD_SWAPS = {
+    0: ["", "2013-13-01", "03/05/2013", "0001-01-01", "2012-06-30", "2014-01-20", "9999-12-31"],
+    1: ["", "Z+1", "Q+0", "D+9999999999", "CAL-2015", "M-2014-13"],
+    2: ["", "abc", "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "5e-324", "0"],
+}
+
+
+@given(
+    data=st.data(),
+    family=st.sampled_from(sorted(_FAMILIES)),
+    k=st.one_of(st.none(), st.integers(1, 24)),
+    n_dates=st.integers(6, 14),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40)
+def test_mutated_quotes_keep_the_exit_code_contract(tmp_path_factory, data, family, k, n_dates, seed):
+    # The split names the family's children, or the first k of the smallest family
+    # with at least k; a k short of the family's own leaves the split too few children.
+    if k is not None:
+        family = min(size for size in _FAMILIES if size >= k)
+    parent, children = _FAMILIES[family]
+    k = k or family
+    folder = tmp_path_factory.mktemp("quotes")
+    quotes, split, out = folder / "q.csv", folder / "split.json", folder / "out"
+    split.write_text(json.dumps({"parent": parent, "children": children[:k], "weights": [1.0 / k] * k}))
+    rng = np.random.default_rng(seed)
+    days = [date(2013, 7, 1) + timedelta(days=i) for i in range(n_dates)]
+    rows = []
+    for day in days:
+        x = 50.0 + 5.0 * float(rng.standard_normal())
+        shape = rng.uniform(-3.0, 3.0, len(children))
+        rows.append([day.isoformat(), parent, repr(x)])
+        rows += [[day.isoformat(), child, repr(x + b)] for child, b in zip(children, (shape - shape.mean()).tolist())]
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        at = data.draw(st.integers(0, len(rows) - 1))
+        action = data.draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if action == "drop":
+            del rows[at]
+        elif action == "duplicate":
+            rows.insert(data.draw(st.integers(0, len(rows))), list(rows[at]))
+        else:
+            column = data.draw(st.sampled_from(sorted(_FIELD_SWAPS)))
+            rows[at][column] = data.draw(st.sampled_from(_FIELD_SWAPS[column]))
+    quotes.write_text("\n".join(["quote_date,contract,price", *map(",".join, rows)]) + "\n")
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--quotes", str(quotes), "--split", str(split), "--out", str(out)])
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    if run(["fit"]) == 0:
+        assert all(math.isfinite(v) for v in _numbers(_strict_json(out.read_text())))
+    middle = days[n_dates // 2]
+    train, test = f"{days[0]}:{middle - timedelta(days=1)}", f"{middle}:{days[-1]}"
+    for argv, text_fields in ((["backtest", "--train", train, "--test", test, "--refit"], 2), (["outliers"], 1)):
+        if run(argv) == 0:
+            table = [line.split(",")[text_fields:] for line in out.read_text().splitlines()[1:]]
+            assert table and all(math.isfinite(float(v)) for row in table for v in row)

@@ -268,6 +268,17 @@ class TestPenalizedSolve:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="infeasible fixing"):
             penalized_wls_solve(np.arange(4.0), np.ones((4, 2)), np.ones(4), system, np.inf, fixed)
 
+    @pytest.mark.parametrize("gap, feasible", [(5e-7, True), (2e-6, False)])
+    def test_full_pinning_is_held_to_the_feasibility_tolerance(self, equal_weight_system, gap, feasible):
+        # The B pins sum to h . B = gap: arbitrage-free at most FEASIBILITY_TOLERANCE (1e-6) away.
+        fixed = {0: (1.0, 4 * gap), 1: (1.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 0.0)}
+        args = (np.arange(6.0), np.ones((6, 4)), np.ones(6), equal_weight_system, np.inf, fixed)
+        if feasible:
+            np.testing.assert_array_equal(penalized_wls_solve(*args), [1.0, 4 * gap, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        else:
+            with pytest.raises(DataError, match="infeasible fixing"):
+                penalized_wls_solve(*args)
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -58,6 +58,12 @@ class TestLoadQuotes:
         with pytest.raises(DataError, match="line 3"):
             load_quotes(csv)
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_price_names_line(self, price):
+        csv = f"quote_date,contract,price\n2012-05-03,Q+1,43.20\n2012-05-03,Q+2,{price}\n"
+        with pytest.raises(DataError, match="^line 3: non-finite price$"):
+            load_quotes(csv)
+
     def test_bad_date_names_line(self):
         with pytest.raises(DataError, match="line 2"):
             load_quotes("quote_date,contract,price\n03/05/2012,Q+1,43.20\n")
