@@ -8,7 +8,14 @@ from datetime import MAXYEAR, MINYEAR, date, timedelta
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, arbitrage_gap, constraints_for_weights
+from .constraints import (
+    FEASIBILITY_TOLERANCE,
+    ConstraintSystem,
+    _floats,
+    _integral,
+    arbitrage_gap,
+    constraints_for_weights,
+)
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
 from .exceptions import DataError
 from .market import QuoteTable, build_regression_dataset
@@ -90,6 +97,9 @@ class SyntheticMarketConfig:
         numbers = (p.level, p.seasonal_amplitude, p.period_days, p.noise, self.outlier_magnitude)
         if not np.isfinite(np.append(numbers, self.noise_scale)).all():
             raise DataError("synthetic market parameters must be finite")
+        for name in ("n_dates", "delivery_year", "seed"):
+            if not _integral(getattr(self, name)):
+                raise DataError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if not self.seed >= 0:  # numpy seeds with non-negative integers only
             raise DataError(f"seed must be >= 0, not {self.seed}")
         if not MINYEAR <= self.delivery_year < MAXYEAR:  # the delivery year ends where the next begins

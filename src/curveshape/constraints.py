@@ -8,6 +8,7 @@ hour-weighted average of shaped child prices reproduces the parent price.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ def _floats(value, what: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:  # an object, ragged lists or an int past a float
         raise DataError(message) from exc
     raise DataError(message)
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool or a whole float is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

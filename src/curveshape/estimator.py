@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, arbitrage_gap
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, _integral, arbitrage_gap
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
 from .robust import MAD_CONSISTENCY, WeightFunctionSpec, _median, mad_scale, qn_scale
 
@@ -89,6 +89,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise DataError("tolerance must be positive")
+        if not _integral(self.max_iterations):
+            raise DataError(f"max_iterations must be an integer, not {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
         if self.scale_estimator not in ("mad", "qn"):

@@ -118,8 +118,13 @@ def qn_scale(values) -> float:
     to the side that holds rank k.  A round reads a low and a high trial
     off an evenly spaced sample of the remaining candidates, a few standard
     errors either side of rank k, so one round usually keeps only the few
-    percent of candidates between them.  A round that keeps more than half
-    is followed by a pass whose trial is the weighted median of the row
+    percent of candidates between them, and two rounds leave few enough to
+    gather.  Above 2048 values the first round instead puts its trials
+    about n ranks either side of rank k, from counts over about 256 evenly
+    spaced rows, so that one round usually leaves few enough; where those
+    counts cannot be trusted, as on heavily tied or cent-rounded samples,
+    it keeps the sampled trials.  A round that keeps more than half is
+    followed by a pass whose trial is the weighted median of the row
     medians, which removes at least a quarter (Johnson & Mizoguchi 1978).
     Once at most ``max(4n, 8192)`` remain they are gathered and finished
     with ``np.partition``; up to 128 values, all pairs go straight there.
@@ -151,6 +156,11 @@ _GATHER = 8192
 # A round samples max(n, _SAMPLE_FLOOR) candidates, so that a round on a small
 # sample still leaves few enough for the gather.
 _SAMPLE_FLOOR = 1024
+# Above _COUNTED values the gather budget is 4n, and the first round's trials
+# come from counts over about _ROWS rows, in at most _STEPS regula falsi steps.
+_COUNTED = 2048
+_ROWS = 256
+_STEPS = 8
 
 
 def _kth_pairwise_difference(y: np.ndarray, k: int) -> float:
@@ -169,6 +179,7 @@ def _kth_pairwise_difference(y: np.ndarray, k: int) -> float:
     hi = np.full(n - 1, n)  # one past its last candidate column
     below = 0  # entries left of the windows, all smaller than the k-th
     fallback = False
+    counted = n > _COUNTED  # the first round's trials come from row counts
     while True:
         keep = lo < hi
         rows, lo, hi = rows[keep], lo[keep], hi[keep]
@@ -178,9 +189,12 @@ def _kth_pairwise_difference(y: np.ndarray, k: int) -> float:
             break
         if fallback:
             low = high = _row_median_trial(y, rows, lo, width)
+        elif counted:
+            low, high = _counted_trials(y, rows, lo, width, candidates, k)
         else:
             size = max(n, _SAMPLE_FLOOR)
             low, high = _sampled_trials(y, rows, lo, width, candidates, k - below, size)
+        counted = False
         cut = _first_column(y, rows, lo, hi, low, strict=False)
         count = below + int((cut - lo).sum())
         low_hit = count < k  # every entry left of the cut ranks below k
@@ -224,6 +238,68 @@ def _sampled_trials(y, rows, lo, width, candidates: int, rank: int, size: int):
         min(int(np.ceil(centre + spread)), size) - 1,
     ]
     low, high = np.partition(sample, ranks)[ranks]
+    return low, high
+
+
+def _counted_trials(y, rows, lo, width, candidates: int, rank: int):
+    """The first round's low and high trials for n > _COUNTED, about 2n candidates apart.
+
+    Every m-th row, about _ROWS in all, is counted against ``y[i] + trial``
+    by one ``searchsorted``; m times the sum estimates the count over all
+    rows, whose windows still span the whole row.  Regula falsi on the
+    estimate, started from a ``_sampled_trials`` bracket of _ROWS
+    candidates, stops at a trial estimated within n / 2 of rank; the
+    trials sit n estimated counts either side of rank from it, at the
+    count density of the last bracket.  The exact counts then usually keep
+    about 2n candidates, half of the 4n the gather takes.
+
+    Equal bracket ends are the trials as they are.  Otherwise the estimate
+    is trusted only where no value repeats more than m times in the sample
+    (a run of ties moves single rows' counts by its length), the bracket
+    ends' estimates straddle rank, one of the first _STEPS steps comes
+    within n / 2 of rank (none does where the estimate jumps across rank,
+    as between the differences of prices on a grid, or where a bracket end
+    is not finite), and the trials are estimated at least n / 2 either
+    side of rank.  Where it is not, the trials are ``_sampled_trials``'
+    from n candidates, as a sampled round takes them.
+    """
+    n = y.size
+    step = rows.size // _ROWS
+
+    def sampled():
+        return _sampled_trials(y, rows, lo, width, candidates, rank, n)
+
+    if (y[step:] == y[:-step]).any():
+        return sampled()
+    a, b = _sampled_trials(y, rows, lo, width, candidates, rank, _ROWS)
+    if a == b:
+        return a, b
+    pick = slice(step // 2, None, step)
+    origin, first = y[rows[pick]], lo[pick]
+
+    def estimate(trial) -> int:
+        with np.errstate(over="ignore"):  # an overflowed key counts the whole row, as it should
+            key = origin + trial
+        return step * int((np.maximum(np.searchsorted(y, key, side="right"), first) - first).sum())
+
+    ca, cb = estimate(a), estimate(b)
+    if not ca < rank <= cb:
+        return sampled()
+    for _ in range(_STEPS):
+        t = a + (b - a) * ((rank - ca) / (cb - ca))
+        c = estimate(t)
+        if c < rank:
+            a, ca = t, c
+        else:
+            b, cb = t, c
+        if abs(c - rank) <= n // 2:
+            break
+    else:  # no step came near rank
+        return sampled()
+    spacing = (b - a) / (cb - ca)  # the last bracket's width per count; a density could overflow
+    low, high = t + (rank - n - c) * spacing, t + (rank + n - c) * spacing
+    if estimate(low) > rank - n // 2 or estimate(high) < rank + n // 2:
+        return sampled()
     return low, high
 
 

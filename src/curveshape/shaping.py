@@ -9,7 +9,6 @@ type (weekday / Saturday / Sunday).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from datetime import timedelta
 
@@ -20,6 +19,7 @@ from .constraints import (
     ConstraintSystem,
     GranularitySplit,
     _floats,
+    _integral,
     arbitrage_gap,
     constraints_for_weights,
     split_from_config,
@@ -193,7 +193,7 @@ def recalibrate_with_traded(
     if market_match is None or prior is None:
         raise DataError("recalibration needs a market match and the prior fit")
     j = market_match.child_index
-    if not (isinstance(j, numbers.Integral) and 0 <= j < system.weights.size):
+    if not (_integral(j) and 0 <= j < system.weights.size):
         raise DataError(f"market match child {j!r} is not in [0, {system.weights.size})")
     b_j = float(prior.gamma[2 * j + 1])
     pinned = ((market_match.traded_price - b_j) / market_match.parent_quote, b_j)

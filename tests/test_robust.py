@@ -418,11 +418,132 @@ class TestSubsampleBracket:
             assert qn_scale(v) == qn_partition_oracle(v)
 
 
+def hourly_sample(seed, days=365, hours=24):
+    """Pooled day -> hour prices: a diurnal affine shape of a seasonal day price around 50,
+    0.5 noise, and one hour spiked by 20 to 60 on a tenth of the days."""
+    rng = np.random.default_rng([seed, 21])
+    hour = np.arange(hours)
+    slopes = 1.0 + rng.uniform(0.2, 0.35) * np.sin(2.0 * np.pi * (hour - 7) / hours)
+    intercepts = rng.uniform(2.0, 4.0) * np.cos(2.0 * np.pi * (hour - 18) / hours)
+    x = 50.0 + 8.0 * np.sin(2.0 * np.pi * np.arange(days) / 365.0) + 2.0 * rng.standard_normal(days)
+    y = x[:, None] * slopes / slopes.mean() + intercepts - intercepts.mean()
+    y += 0.5 * rng.standard_normal((days, hours))
+    spiked = rng.choice(days, size=days // 10, replace=False)
+    y[spiked, rng.integers(0, hours, spiked.size)] += rng.uniform(20.0, 60.0, spiked.size)
+    return y.ravel()
+
+
+def first_round(values):
+    """The sorted sample and the first round's arguments: every row's whole window and rank k."""
+    y = np.sort(np.asarray(values, float))
+    n = y.size
+    rows = np.arange(n - 1)
+    width = n - 1 - rows
+    h = n // 2 + 1
+    return y, rows, rows + 1, width, int(width.sum()), h * (h - 1) // 2
+
+
+class TestCountedBracket:
+    """Above 2048 values the first round's trials come from counts over a subsample of rows;
+    they never decide the value, and where the counts cannot be trusted the sampled trials
+    stand in."""
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2049, 3500),
+        kind=st.sampled_from(["normal", "ties", "cauchy", "bimodal", "half-constant", "cents", "hourly"]),
+    )
+    def test_matches_partition_oracle(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            v = rng.standard_normal(n) * rng.uniform(0.5, 4.0)
+        elif kind == "ties":
+            v = rng.integers(0, int(rng.integers(2, 51)), n).astype(float)
+        elif kind == "cauchy":
+            v = rng.standard_cauchy(n)
+        elif kind == "bimodal":
+            v = np.r_[rng.standard_normal(n // 2), rng.uniform(3.0, 30.0) + rng.standard_normal(n - n // 2)]
+        elif kind == "half-constant":
+            v = np.r_[np.full(n // 2, rng.uniform(-1.0, 1.0)), rng.standard_normal(n - n // 2)]
+        elif kind == "cents":
+            v = np.round(50.0 + 5.0 * rng.standard_normal(n), 2)
+        else:
+            v = hourly_sample(seed)[:n]
+        assert qn_scale(v) == qn_partition_oracle(v)
+
+    MISSES = {  # the forced first-round trials, from the sorted differences and rank k (1-based)
+        "low": lambda diffs, k: (diffs[k // 4], diffs[k // 2]),
+        "high": lambda diffs, k: (diffs[(k + diffs.size) // 2], diffs[-1]),
+        "nan": lambda diffs, k: (np.nan, np.nan),
+        "inf": lambda diffs, k: (np.inf, np.inf),
+        "nan-inf": lambda diffs, k: (np.nan, np.inf),
+        "finite-inf": lambda diffs, k: (diffs[k // 2], np.inf),
+    }
+
+    @pytest.mark.parametrize("miss", list(MISSES))
+    def test_missed_trials_give_the_exact_value(self, miss, monkeypatch):
+        values = np.random.default_rng(5).standard_normal(2100)
+        diffs, k = sorted_differences(values)
+        forced = self.MISSES[miss](diffs, k)
+        if miss in ("low", "high"):
+            assert branch(diffs, k, *forced) == miss
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forced
+
+        monkeypatch.setattr(robust, "_counted_trials", counted)
+        assert qn_scale(values) == qn_partition_oracle(values)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1e-305, 1e-310, 1e-315, 1e300])
+    def test_extreme_scales_give_the_exact_value(self, scale):
+        # differences near the subnormal range once made a count density overflow
+        values = np.random.default_rng(4).standard_normal(2100) * scale
+        assert qn_scale(values) == qn_partition_oracle(values)
+
+    @pytest.mark.parametrize("miss", list(MISSES))
+    def test_a_sample_bracket_that_misses_keeps_the_sampled_trials(self, miss, monkeypatch):
+        # the small sample bracket that starts regula falsi, forced; equal ends are the trials
+        values = np.random.default_rng(5).standard_normal(2100)
+        forced = self.MISSES[miss](*sorted_differences(values))
+        sampled = robust._sampled_trials
+
+        def small(*args):
+            return forced if args[-1] == robust._ROWS else sampled(*args)
+
+        monkeypatch.setattr(robust, "_sampled_trials", small)
+        args = first_round(values)
+        expected = forced if forced[0] == forced[1] else sampled(*args, args[0].size)
+        np.testing.assert_array_equal(robust._counted_trials(*args), expected)
+
+    @pytest.mark.parametrize("values", [
+        np.r_[np.full(750, 0.3), np.random.default_rng(1).standard_normal(2250)],  # a run of 750 ties
+        tick_sample(8760),  # on a 0.01 grid the estimate jumps across rank k
+        tick_sample(2500, seed=1),  # the density of the last bracket misplaces the trials
+        TestFirstColumn.FAMILIES["magnitudes"](np.random.default_rng(4), 2500),  # no step nears rank
+    ], ids=["tie-run", "grid", "margin", "steps"])
+    def test_untrusted_counts_keep_the_sampled_trials(self, values):
+        args = first_round(values)
+        assert robust._counted_trials(*args) == robust._sampled_trials(*args, args[0].size)
+
+
 class TestQnWork:
-    """A work count, not a timing: row counts of one Qn on desk-level ticks."""
+    """A work count, not a timing: row counts of one Qn on desk-level ticks and on the pooled
+    hourly sample, whose one counted round leaves few enough candidates to gather."""
 
     @pytest.mark.parametrize("n,passes", [(1000, 4), (8760, 4)])
     def test_row_count_passes(self, n, passes, monkeypatch):
+        assert self.row_counts(tick_sample(n), monkeypatch) == passes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hourly_sample_takes_one_round(self, seed, monkeypatch):
+        assert self.row_counts(hourly_sample(seed), monkeypatch) == 2
+
+    @staticmethod
+    def row_counts(values, monkeypatch):
         calls = []
         count = robust._first_column
 
@@ -431,8 +552,8 @@ class TestQnWork:
             return count(*args, **kwargs)
 
         monkeypatch.setattr(robust, "_first_column", spy)
-        qn_scale(tick_sample(n))
-        assert len(calls) == passes
+        qn_scale(values)
+        return len(calls)
 
 
 class TestHampelWeight:
