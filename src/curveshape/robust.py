@@ -121,9 +121,10 @@ def qn_scale(values) -> float:
     percent of candidates between them, and two rounds leave few enough to
     gather.  Above 2048 values the first round instead puts its trials
     about n ranks either side of rank k, from counts over about 256 evenly
-    spaced rows, so that one round usually leaves few enough; where those
-    counts cannot be trusted, as on heavily tied or cent-rounded samples,
-    it keeps the sampled trials.  A round that keeps more than half is
+    spaced rows and the entries of those rows near rank k, so that one
+    round usually leaves few enough, on a price grid too; where those
+    counts cannot be trusted, as on heavily tied samples, it keeps the
+    sampled trials.  A round that keeps more than half is
     followed by a pass whose trial is the weighted median of the row
     medians, which removes at least a quarter (Johnson & Mizoguchi 1978).
     Once at most ``max(4n, 8192)`` remain they are gathered and finished
@@ -156,9 +157,8 @@ _GATHER = 8192
 # A round samples max(n, _SAMPLE_FLOOR) candidates, so that a round on a small
 # sample still leaves few enough for the gather.
 _SAMPLE_FLOOR = 1024
-# Above _COUNTED values the gather budget is 4n, and the first round's trials
-# come from counts over about _ROWS rows, in at most _STEPS regula falsi steps.
-_COUNTED = 2048
+# Where the gather budget is 4n (above 2048 values), the first round's trials come
+# from counts over about _ROWS rows, narrowed in at most _STEPS steps.
 _ROWS = 256
 _STEPS = 8
 
@@ -179,7 +179,7 @@ def _kth_pairwise_difference(y: np.ndarray, k: int) -> float:
     hi = np.full(n - 1, n)  # one past its last candidate column
     below = 0  # entries left of the windows, all smaller than the k-th
     fallback = False
-    counted = n > _COUNTED  # the first round's trials come from row counts
+    counted = 4 * n > _GATHER  # the first round's trials may come from row counts
     while True:
         keep = lo < hi
         rows, lo, hi = rows[keep], lo[keep], hi[keep]
@@ -187,14 +187,15 @@ def _kth_pairwise_difference(y: np.ndarray, k: int) -> float:
         candidates = int(width.sum())
         if candidates <= max(4 * n, _GATHER):
             break
+        trials = counted and _counted_trials(y, rows, lo, width, candidates, k)
+        counted = False
         if fallback:
             low = high = _row_median_trial(y, rows, lo, width)
-        elif counted:
-            low, high = _counted_trials(y, rows, lo, width, candidates, k)
+        elif trials:
+            low, high = trials
         else:
             size = max(n, _SAMPLE_FLOOR)
             low, high = _sampled_trials(y, rows, lo, width, candidates, k - below, size)
-        counted = False
         cut = _first_column(y, rows, lo, hi, low, strict=False)
         count = below + int((cut - lo).sum())
         low_hit = count < k  # every entry left of the cut ranks below k
@@ -242,65 +243,77 @@ def _sampled_trials(y, rows, lo, width, candidates: int, rank: int, size: int):
 
 
 def _counted_trials(y, rows, lo, width, candidates: int, rank: int):
-    """The first round's low and high trials for n > _COUNTED, about 2n candidates apart.
+    """The first round's low and high trials, n candidates either side of rank;
+    None where the counts cannot place them.
 
     Every m-th row, about _ROWS in all, is counted against ``y[i] + trial``
-    by one ``searchsorted``; m times the sum estimates the count over all
-    rows, whose windows still span the whole row.  Regula falsi on the
-    estimate, started from a ``_sampled_trials`` bracket of _ROWS
-    candidates, stops at a trial estimated within n / 2 of rank; the
-    trials sit n estimated counts either side of rank from it, at the
-    count density of the last bracket.  The exact counts then usually keep
-    about 2n candidates, half of the 4n the gather takes.
+    by one ``searchsorted``, and m times the sum estimates the count over all
+    rows.  A bracket from ``_sampled_trials`` over _ROWS candidates is
+    narrowed by Illinois regula falsi on the estimate, its ends kept at least
+    n / 2 from rank; a step that lands nearer is replaced by two, n either
+    side of it at the bracket's width per count.  Once the ends are at most
+    16n apart, the counted rows' entries between them are gathered, each
+    standing for m candidates, and the trials are the entries n either side
+    of rank (a high trial whose ties start within n / 2 of rank moves past
+    them, as the round counts it with ``<``).  Where the estimate jumps
+    across rank, as between differences of prices on a grid, the trials are
+    the values at and beside the jump.
 
-    Equal bracket ends are the trials as they are.  Otherwise the estimate
-    is trusted only where no value repeats more than m times in the sample
-    (a run of ties moves single rows' counts by its length), the bracket
-    ends' estimates straddle rank, one of the first _STEPS steps comes
-    within n / 2 of rank (none does where the estimate jumps across rank,
-    as between the differences of prices on a grid, or where a bracket end
-    is not finite), and the trials are estimated at least n / 2 either
-    side of rank.  Where it is not, the trials are ``_sampled_trials``'
-    from n candidates, as a sampled round takes them.
+    Equal sampled ends are the trials.  There are none where a value fills
+    more than m places (a run of ties moves single rows' counts by its
+    length), where the sampled ends are not n / 2 from rank, where _STEPS
+    steps leave the ends more than 16n apart, or where the rows midway
+    between the counted ones estimate a count at either end more than 2n
+    off, as where a few rows dominate the count.
     """
     n = y.size
     step = rows.size // _ROWS
-
-    def sampled():
-        return _sampled_trials(y, rows, lo, width, candidates, rank, n)
-
-    if (y[step:] == y[:-step]).any():
-        return sampled()
     a, b = _sampled_trials(y, rows, lo, width, candidates, rank, _ROWS)
     if a == b:
         return a, b
-    pick = slice(step // 2, None, step)
-    origin, first = y[rows[pick]], lo[pick]
+    if (y[step:] == y[:-step]).any():
+        return None
+    counted, checked = slice(step // 2, None, step), slice(0, None, step)
+    origin = y[rows[counted]]
 
-    def estimate(trial) -> int:
+    def ends(trial, pick=counted):  # per row, one past its last column at most trial; the count
+        first = lo[pick]
         with np.errstate(over="ignore"):  # an overflowed key counts the whole row, as it should
-            key = origin + trial
-        return step * int((np.maximum(np.searchsorted(y, key, side="right"), first) - first).sum())
+            key = y[rows[pick]] + trial
+        end = np.maximum(np.searchsorted(y, key, side="right"), first)
+        return trial, end, step * int((end - first).sum())
 
-    ca, cb = estimate(a), estimate(b)
-    if not ca < rank <= cb:
-        return sampled()
+    (a, ea, ca), (b, eb, cb) = ends(a), ends(b)
+    if not ca <= rank - n // 2 < rank + n // 2 <= cb:
+        return None
+    fa, fb, side = ca - rank, cb - rank, 0
     for _ in range(_STEPS):
-        t = a + (b - a) * ((rank - ca) / (cb - ca))
-        c = estimate(t)
-        if c < rank:
-            a, ca = t, c
-        else:
-            b, cb = t, c
-        if abs(c - rank) <= n // 2:
+        if cb - ca <= 16 * n:  # about 16 * _ROWS entries to gather
             break
-    else:  # no step came near rank
-        return sampled()
-    spacing = (b - a) / (cb - ca)  # the last bracket's width per count; a density could overflow
-    low, high = t + (rank - n - c) * spacing, t + (rank + n - c) * spacing
-    if estimate(low) > rank - n // 2 or estimate(high) < rank + n // 2:
-        return sampled()
-    return low, high
+        t, et, c = ends(a + (b - a) * (fa / (fa - fb)))
+        steps = [(t, et, c)]
+        if abs(c - rank) < n // 2:
+            spacing = (b - a) / (cb - ca)  # a count density could overflow
+            steps = [ends(t + (rank - n - c) * spacing), ends(t + (rank + n - c) * spacing)]
+        for t, et, c in steps:
+            if a < t < b and c <= rank - n // 2:
+                a, ea, ca, fa = t, et, c, c - rank
+                fb, side = (fb / 2 if side < 0 else fb), -1
+            elif a < t < b and c >= rank + n // 2:
+                b, eb, cb, fb = t, et, c, c - rank
+                fa, side = (fa / 2 if side > 0 else fa), 1
+    else:
+        return None
+    if abs(ends(a, checked)[2] - ca) > 2 * n or abs(ends(b, checked)[2] - cb) > 2 * n:
+        return None
+    w = eb - ea
+    cols = np.arange(int(w.sum())) + np.repeat(ea - (np.cumsum(w) - w), w)
+    entries = np.sort(np.r_[a, y[cols] - np.repeat(origin, w), b])
+    at, r = -(-(rank - ca) // step), n // step  # rank's place among them, and n counts
+    high = min(at + r, entries.size - 1)
+    if np.searchsorted(entries, entries[high]) <= at + r // 2:  # ties start within n / 2 of rank
+        high = min(np.searchsorted(entries, entries[high], side="right"), entries.size - 1)
+    return entries[max(at - r, 0)], entries[high]
 
 
 def _row_median_trial(y, rows, lo, width):

@@ -479,6 +479,7 @@ class TestCountedBracket:
         "inf": lambda diffs, k: (np.inf, np.inf),
         "nan-inf": lambda diffs, k: (np.nan, np.inf),
         "finite-inf": lambda diffs, k: (diffs[k // 2], np.inf),
+        "narrow": lambda diffs, k: (diffs[k - 500], diffs[k + 500]),  # within n / 2 of rank k
     }
 
     @pytest.mark.parametrize("miss", list(MISSES))
@@ -505,7 +506,7 @@ class TestCountedBracket:
         assert qn_scale(values) == qn_partition_oracle(values)
 
     @pytest.mark.parametrize("miss", list(MISSES))
-    def test_a_sample_bracket_that_misses_keeps_the_sampled_trials(self, miss, monkeypatch):
+    def test_a_sample_bracket_that_misses_gives_no_trials(self, miss, monkeypatch):
         # the small sample bracket that starts regula falsi, forced; equal ends are the trials
         values = np.random.default_rng(5).standard_normal(2100)
         forced = self.MISSES[miss](*sorted_differences(values))
@@ -515,32 +516,58 @@ class TestCountedBracket:
             return forced if args[-1] == robust._ROWS else sampled(*args)
 
         monkeypatch.setattr(robust, "_sampled_trials", small)
-        args = first_round(values)
-        expected = forced if forced[0] == forced[1] else sampled(*args, args[0].size)
-        np.testing.assert_array_equal(robust._counted_trials(*args), expected)
+        trials = robust._counted_trials(*first_round(values))
+        if forced[0] == forced[1]:
+            np.testing.assert_array_equal(trials, forced)
+        else:
+            assert trials is None
 
     @pytest.mark.parametrize("values", [
         np.r_[np.full(750, 0.3), np.random.default_rng(1).standard_normal(2250)],  # a run of 750 ties
-        tick_sample(8760),  # on a 0.01 grid the estimate jumps across rank k
-        tick_sample(2500, seed=1),  # the density of the last bracket misplaces the trials
-        TestFirstColumn.FAMILIES["magnitudes"](np.random.default_rng(4), 2500),  # no step nears rank
-    ], ids=["tie-run", "grid", "margin", "steps"])
-    def test_untrusted_counts_keep_the_sampled_trials(self, values):
-        args = first_round(values)
-        assert robust._counted_trials(*args) == robust._sampled_trials(*args, args[0].size)
+        np.random.default_rng(1).integers(0, 50, 3000).astype(float),  # runs of about 60 ties
+        TestFirstColumn.FAMILIES["magnitudes"](np.random.default_rng(4), 2500),  # rows dominate
+    ], ids=["tie-run", "ties", "rows-disagree"])
+    def test_untrusted_counts_give_no_trials(self, values):
+        assert robust._counted_trials(*first_round(values)) is None
+
+    @pytest.mark.parametrize("values", [
+        tick_sample(2500, seed=28),
+        tick_sample(3000, seed=35),
+        tick_sample(2500, seed=1),
+        np.round(hourly_sample(1)[:3000], 2),
+    ], ids=["ticks-2500", "ticks-3000", "ticks-2500-1", "hourly-cents"])
+    def test_trials_on_a_price_grid_hold_rank_k(self, values):
+        # the estimate jumps across rank k at a cluster of differences near one grid value;
+        # the trials are entries at and next to the jump, and the k-th value is never the
+        # high trial, whose count with < would miss it
+        diffs, k = sorted_differences(values)
+        low, high = robust._counted_trials(*first_round(values))
+        assert branch(diffs, k, low, high) in ("hit", "tie")
+        assert np.searchsorted(diffs, high, side="left") >= k
 
 
 class TestQnWork:
     """A work count, not a timing: row counts of one Qn on desk-level ticks and on the pooled
-    hourly sample, whose one counted round leaves few enough candidates to gather."""
+    hourly sample, raw and in cents, whose one counted round leaves few enough candidates
+    to gather."""
 
-    @pytest.mark.parametrize("n,passes", [(1000, 4), (8760, 4)])
+    @pytest.mark.parametrize("n,passes", [(1000, 4), (8760, 2), (20000, 2)])
     def test_row_count_passes(self, n, passes, monkeypatch):
         assert self.row_counts(tick_sample(n), monkeypatch) == passes
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_hourly_sample_takes_one_round(self, seed, monkeypatch):
-        assert self.row_counts(hourly_sample(seed), monkeypatch) == 2
+    @pytest.mark.parametrize("n,seed", [(2223, 49), (3257, 189), (4781, 45)])
+    def test_ticks_take_one_round(self, n, seed, monkeypatch):
+        # on these grids plain regula falsi keeps landing beside the jump at rank k; Illinois
+        # halves the far end's weight until a step crosses it
+        assert self.row_counts(tick_sample(n, seed), monkeypatch) == 2
+
+    @pytest.mark.parametrize("cents", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 10])
+    def test_hourly_sample_takes_one_round(self, seed, cents, monkeypatch):
+        # in cents, seeds 4 and 10 put the k-th value in a run of ties n / 2 or less above
+        # the entries' estimate of rank k, so the high trial moves past that run
+        values = hourly_sample(seed)
+        assert self.row_counts(np.round(values, 2) if cents else values, monkeypatch) == 2
 
     @staticmethod
     def row_counts(values, monkeypatch):
