@@ -30,7 +30,7 @@ from .constraints import (
 from .estimator import FitConfig, gamma_from_report, irls_fit, outlier_report
 from .exceptions import CurveShapeError, DataError, NumericalError
 from .market import build_regression_dataset, load_quotes
-from .periods import parse_period_label
+from .periods import parse_period_label, period_children
 from .robust import WeightFunctionSpec
 from .shaping import DAY_TYPES, cascade, cascade_from_config, leaf_window, shape_curve
 
@@ -106,21 +106,28 @@ def _fit_config(args) -> FitConfig:
     )
 
 
-def _load_split_and_system(path: str):
-    """The split config at ``path``, its constraint system, and its parent and child kinds."""
-    split = split_from_config(_read_json(path))
-    system = constraints_for_weights(split.weights)
+def _load_fit_inputs(args):
+    """The quotes, the split, its constraint system, and the parent and child kinds.
+
+    The split must list every child of its parent at the first child's kind,
+    in delivery order, since each weight pairs with the dataset column in
+    its place.
+    """
+    table = load_quotes(args.quotes)
+    split = split_from_config(_read_json(args.split))
     try:
         parent = parse_period_label(split.parent_label)
         children = [parse_period_label(c) for c in split.child_labels]
     except DataError:
         raise DataError("split config must name resolvable parent and child periods") from None
-    return split, system, (parent.kind, children[0].kind)
+    expected = [child.label for child in period_children(parent, children[0].kind)]
+    if [child.label for child in children] != expected:
+        raise DataError(f"split of {parent.label} must list {', '.join(expected)}, in that order")
+    return table, split, constraints_for_weights(split.weights), parent.kind, children[0].kind
 
 
 def _cmd_fit(args) -> int:
-    table = load_quotes(args.quotes)
-    split, system, (parent_kind, child_kind) = _load_split_and_system(args.split)
+    table, split, system, parent_kind, child_kind = _load_fit_inputs(args)
     dataset, completeness = build_regression_dataset(table, parent_kind, child_kind)
     result = fit_method(args.method, dataset, system, _fit_config(args))
     report = result.to_report()
@@ -188,8 +195,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    table = load_quotes(args.quotes)
-    _, system, (parent_kind, child_kind) = _load_split_and_system(args.split)
+    table, _, system, parent_kind, child_kind = _load_fit_inputs(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     comparison = backtest(
         table,
@@ -207,8 +213,7 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_outliers(args) -> int:
-    table = load_quotes(args.quotes)
-    _, system, (parent_kind, child_kind) = _load_split_and_system(args.split)
+    table, _, system, parent_kind, child_kind = _load_fit_inputs(args)
     dataset, _ = build_regression_dataset(table, parent_kind, child_kind)
     result = irls_fit(dataset, system, _fit_config(args))
     flagged = {cid for cid, _ in outlier_report(result, args.threshold)}

@@ -336,6 +336,7 @@ def _fit_result(
     **flags,
 ) -> FitResult:
     """Every fit's result; ``flags`` are FitResult's converged / degenerate_scale / method."""
+    flags.setdefault("degenerate_scale", bool(np.any(scales <= 0.0)))  # where the fit sets none
     return FitResult(
         gamma=gamma,
         case_weights=weights,
@@ -416,10 +417,7 @@ def classical_fit(
     weights = np.ones(dataset.n_cases)
     gamma = penalized_wls_solve(dataset.x, dataset.y, weights, system, alpha_value)
     scales = mad_scale(_residuals(dataset, gamma), axis=0)
-    return _fit_result(
-        dataset, system, gamma, weights, scales, alpha_value,
-        degenerate_scale=bool(np.any(scales <= 0.0)), method="classical",
-    )
+    return _fit_result(dataset, system, gamma, weights, scales, alpha_value, method="classical")
 
 
 def ratio_average_fit(dataset: Dataset) -> np.ndarray:

@@ -144,12 +144,9 @@ def load_quotes(source) -> QuoteTable:
             parsed = dates[raw_date] = quote_date, quote_date.toordinal()
         quote_date, day = parsed
         try:
-            price = float(raw_price)  # float() ignores surrounding whitespace itself ...
-        except ValueError:
-            try:  # ... but for "\x1f", which strip() drops
-                price = float(raw_price.strip())
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: bad price {raw_price.strip()!r}") from exc
+            price = float(raw_price.strip())  # strip() also drops the "\x1c"-"\x1f" that float() rejects
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: bad price {raw_price.strip()!r}") from exc
         if not math.isfinite(price):
             raise DataError(f"line {lineno}: non-finite price")
         try:

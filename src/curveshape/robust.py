@@ -213,9 +213,21 @@ def _kth_pairwise_difference(y: np.ndarray, k: int) -> float:
             else:  # count(< low) < k <= count(<= low)
                 return low
         fallback = 2 * int((hi - lo).sum()) > candidates
-    cols = np.arange(candidates) - np.repeat(np.cumsum(width) - width - lo, width)
-    diffs = y[cols] - y[np.repeat(rows, width)]
-    return np.partition(diffs, k - below - 1)[k - below - 1]
+    return np.partition(_window_entries(y, rows, lo, width), k - below - 1)[k - below - 1]
+
+
+def _window_entries(y, rows, lo, width) -> np.ndarray:
+    """The entries ``y[j] - y[i]`` of every row's window ``[lo, lo + width)``, laid end to end."""
+    cols = np.arange(int(width.sum())) + np.repeat(lo - (np.cumsum(width) - width), width)
+    return y[cols] - np.repeat(y[rows], width)
+
+
+def _row_ends(y, origin, trial, side: str = "right") -> np.ndarray:
+    """Per row, ``np.searchsorted(y, origin + trial, side)``: a guess, which rounding can
+    misplace, at the end of its entries ``y[j] - origin`` at most (right) or below (left)
+    ``trial``.  An overflowed key guesses the whole row, every entry's true side."""
+    with np.errstate(over="ignore"):
+        return np.searchsorted(y, origin + trial, side=side)
 
 
 def _sampled_trials(y, rows, lo, width, candidates: int, rank: int, size: int):
@@ -274,13 +286,10 @@ def _counted_trials(y, rows, lo, width, candidates: int, rank: int):
     if (y[step:] == y[:-step]).any():
         return None
     counted, checked = slice(step // 2, None, step), slice(0, None, step)
-    origin = y[rows[counted]]
 
     def ends(trial, pick=counted):  # per row, one past its last column at most trial; the count
         first = lo[pick]
-        with np.errstate(over="ignore"):  # an overflowed key counts the whole row, as it should
-            key = y[rows[pick]] + trial
-        end = np.maximum(np.searchsorted(y, key, side="right"), first)
+        end = np.maximum(_row_ends(y, y[rows[pick]], trial), first)
         return trial, end, step * int((end - first).sum())
 
     (a, ea, ca), (b, eb, cb) = ends(a), ends(b)
@@ -306,9 +315,7 @@ def _counted_trials(y, rows, lo, width, candidates: int, rank: int):
         return None
     if abs(ends(a, checked)[2] - ca) > 2 * n or abs(ends(b, checked)[2] - cb) > 2 * n:
         return None
-    w = eb - ea
-    cols = np.arange(int(w.sum())) + np.repeat(ea - (np.cumsum(w) - w), w)
-    entries = np.sort(np.r_[a, y[cols] - np.repeat(origin, w), b])
+    entries = np.sort(np.r_[a, _window_entries(y, rows[counted], ea, eb - ea), b])
     at, r = -(-(rank - ca) // step), n // step  # rank's place among them, and n counts
     high = min(at + r, entries.size - 1)
     if np.searchsorted(entries, entries[high]) <= at + r // 2:  # ties start within n / 2 of rank
@@ -339,9 +346,7 @@ def _first_column(y, rows, lo, hi, trial, strict: bool) -> np.ndarray:
     the exact boundary; rows whose guess fails are bisected.
     """
     origin = y[rows]
-    with np.errstate(over="ignore"):  # an overflowed key is only a guess, and it is checked
-        key = origin + trial
-    guess = np.clip(np.searchsorted(y, key, side="left" if strict else "right"), lo, hi)
+    guess = np.clip(_row_ends(y, origin, trial, "left" if strict else "right"), lo, hi)
     before = y[guess - 1] - origin  # guess >= lo > row, so the index is in range
     at = y[np.minimum(guess, y.size - 1)] - origin
     under = np.less if strict else np.less_equal
@@ -366,15 +371,17 @@ def _bisect_columns(y, rows, lo, hi, trial, strict: bool) -> np.ndarray:
     return a
 
 
+def _like_input(x, out):
+    """``out`` as a float where ``x`` is a scalar, else as the array it is."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def hampel_weight(x):
     """Redescending three-part weight: 1, a/|x|, linear decay, then 0 beyond r."""
     ax = np.abs(np.asarray(x, dtype=float))
     # min(1, a/|x|) and the linear decay clipped to [0, 1], with no divide by 0 or overflow
     decay = (HAMPEL_R - np.minimum(ax, HAMPEL_R)) / (HAMPEL_R - HAMPEL_B)
-    out = HAMPEL_A / np.maximum(ax, HAMPEL_A) * np.minimum(decay, 1.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, HAMPEL_A / np.maximum(ax, HAMPEL_A) * np.minimum(decay, 1.0))
 
 
 def bisquare_loss(x, k: float = BISQUARE_K):
@@ -383,16 +390,10 @@ def bisquare_loss(x, k: float = BISQUARE_K):
         raise DataError("bisquare_k must be positive")
     xa = np.asarray(x, dtype=float)
     inside = (k * k / 6.0) * (1.0 - (1.0 - xa * xa / (k * k)) ** 3)
-    out = np.where(np.abs(xa) <= k, inside, k * k / 6.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, np.where(np.abs(xa) <= k, inside, k * k / 6.0))
 
 
 def bisquare_weight(x):
     """Rescaled derivative of the bisquare loss: (1 - (x/k)^2)^2 inside, 0 outside."""
     u = np.minimum(np.abs(np.asarray(x, dtype=float)) / BISQUARE_K, 1.0)
-    out = (1.0 - u**2) ** 2
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, (1.0 - u**2) ** 2)

@@ -10,7 +10,6 @@ type (weekday / Saturday / Sunday).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import timedelta
 
 import numpy as np
 
@@ -208,13 +207,9 @@ def daytype_split(month: Period) -> GranularitySplit:
     """
     if month.kind != "month":
         raise DataError("day-type split needs a month parent")
-    counts = {t: 0 for t in DAY_TYPES}
-    day = month.start.date()
-    while day < month.end.date():
-        wd = day.weekday()
-        counts["SAT" if wd == 5 else "SUN" if wd == 6 else "WD"] += 1
-        day += timedelta(days=1)
-    days = np.array([counts[t] for t in DAY_TYPES], dtype=float)
+    start, end = month.start.date(), month.end.date()
+    # Monday-first weekmasks of the weekdays, Saturdays and Sundays, as DAY_TYPES lists them
+    days = np.array([np.busday_count(start, end, mask) for mask in ("1111100", "0000010", "0000001")], dtype=float)
     return GranularitySplit(
         parent_label=month.label,
         child_labels=tuple(f"{month.label}:{t}" for t in DAY_TYPES),
@@ -265,6 +260,8 @@ def cascade_from_config(config: dict) -> ShapingCascade:
             coeffs = split_cfg.get("coefficients")
             if coeffs is None:
                 raise DataError(f"split {split.parent_label!r} has no coefficients")
+            if split.parent_label in level_map:
+                raise DataError(f"cascade level {name!r} has two splits for {split.parent_label!r}")
             level_map[split.parent_label] = ShapingLevel(split, coeffs)
         names.append(name)
         maps.append(level_map)

@@ -120,6 +120,29 @@ class TestFit:
         assert main(["fit", "--quotes", str(quotes), "--split", str(split)]) == 2
         assert "resolvable parent and child periods" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "children",
+        [
+            ["Q4-2014", "Q3-2014", "Q2-2014", "Q1-2014"],
+            ["Q1-2015", "Q2-2015", "Q3-2015", "Q4-2015"],
+            ["Q1-2014", "Q2-2014", "Q3-2014", "M-2014-10"],
+            ["Q1-2014", "Q2-2014", "Q3-2014"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["fit"], ["outliers"], ["backtest", "--train", "2013-01-02:2013-03-31", "--test", "2013-04-01:2013-05-01"]],
+    )
+    def test_split_must_list_the_parents_children_in_delivery_order(self, workspace, capsys, children, command):
+        # Dataset columns run in delivery order, so any other list would pair a weight with the wrong child.
+        tmp_path, quotes, _ = workspace
+        split, out = tmp_path / "listed.json", tmp_path / "out"
+        split.write_text(json.dumps(dict(SPLIT_CONFIG, children=children, weights=[1.0] * len(children))))
+        assert main([*command, "--quotes", str(quotes), "--split", str(split), "--out", str(out)]) == 2
+        expected = "Q1-2014, Q2-2014, Q3-2014, Q4-2014, in that order"
+        assert capsys.readouterr().err == f"error: split of CAL-2014 must list {expected}\n"
+        assert not out.exists()
+
     def test_overflowing_rank_test_is_a_numerical_failure(self, workspace, capsys):
         # Finite prices near 1e160: squaring their weighted mean overflows a float.
         tmp_path, _, split = workspace
@@ -208,6 +231,17 @@ class TestPredict:
         argv = ["--coeffs", str(report), "--cascade", str(cascade), "--parent-price", "50", "--target", "quarter"]
         assert main(["predict", *argv]) == 2
         assert "'CAL-2014'" in capsys.readouterr().err
+
+    def test_two_splits_for_one_parent_in_a_level(self, workspace, capsys):
+        tmp_path, _, _ = workspace
+        config = self.cascade_config([[1.0, 0.0]] * 4)
+        config["levels"][0]["splits"].append(dict(SPLIT_CONFIG, coefficients=[[1.2, 0], [0.8, 0], [1, 0], [1, 0]]))
+        cascade, out = tmp_path / "cascade.json", tmp_path / "curve.csv"
+        cascade.write_text(json.dumps(config))
+        argv = ["--cascade", str(cascade), "--parent-price", "50", "--target", "quarter", "--out", str(out)]
+        assert main(["predict", *argv]) == 2
+        assert capsys.readouterr().err == "error: cascade level 'YtQ' has two splits for 'CAL-2014'\n"
+        assert not out.exists()
 
     def test_weighted_mean_matches_parent(self, workspace, rng):
         from conftest import arbitrage_free_gamma

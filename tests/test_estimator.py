@@ -564,6 +564,17 @@ def test_baseline_residual_scales_are_column_mad(rng, equal_weight_system):
         assert not result.degenerate_scale
 
 
+def test_baselines_flag_zero_residual_scales():
+    # Children at 1.1x and 0.9x the parent: both baselines fit every case exactly.
+    x = np.linspace(40.0, 60.0, 20)
+    ds = Dataset(x, np.column_stack([1.1 * x, 0.9 * x]))
+    system = constraints_for_weights([0.5, 0.5])
+    for result in (classical_fit(ds, system), ratio_average_result(ds, system)):
+        np.testing.assert_array_equal(result.residual_scales, [0.0, 0.0])
+        assert result.degenerate_scale, result.method
+        assert result.to_report()["diagnostics"]["degenerate_scale"] is True
+
+
 def test_qn_scale_estimator_option(rng, equal_weight_system):
     gamma = arbitrage_free_gamma(rng, 4)
     ds = synthetic_dataset(rng, gamma, n=120, noise=0.4)

@@ -1,7 +1,10 @@
 """Tests for level application, cascades, and recalibration."""
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     EQUAL_WEIGHTS,
@@ -253,6 +256,17 @@ class TestCalendarLevels:
         split = daytype_split(month)
         assert split.child_labels == ("M-2014-04:WD", "M-2014-04:SAT", "M-2014-04:SUN")
         np.testing.assert_allclose(split.weights, np.array([22, 4, 4]) / 30.0, atol=1e-15)
+
+    @given(st.integers(1, 9998), st.integers(1, 12))
+    @settings(max_examples=200)
+    def test_daytype_split_weights_are_the_day_shares(self, year, month):
+        period = month_period(year, month)
+        days = [0, 0, 0]  # the oracle: a walk over every day, Monday-Friday, Saturday, Sunday
+        day = period.start.date()
+        while day < period.end.date():
+            days[max(day.weekday() - 4, 0)] += 1
+            day += timedelta(days=1)
+        np.testing.assert_array_equal(daytype_split(period).weights, np.array(days, dtype=float) / sum(days))
 
     def test_hour_split(self):
         split = hour_split("M-2014-04:SAT")
