@@ -32,7 +32,7 @@ from .exceptions import CurveShapeError, DataError, NumericalError
 from .market import build_regression_dataset, load_quotes
 from .periods import parse_period_label, period_children
 from .robust import WeightFunctionSpec
-from .shaping import DAY_TYPES, cascade, cascade_from_config, leaf_window, shape_curve
+from .shaping import cascade, cascade_from_config, read_leaf_label, shape_curve
 
 _GRANULARITY_DEPTH_NAMES = ("quarter", "month", "day", "hour")
 
@@ -137,20 +137,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _level_granularity(level_map) -> str | None:
-    """Granularity of a level's children, tolerating day-type / hour suffixes."""
-    label = next(iter(level_map.values())).split.child_labels[0]
-    suffix = label.split(":")[-1]
-    if ":" in label and suffix.startswith("H"):
-        return "hour"
-    if suffix in DAY_TYPES:
-        return "day"
-    try:
-        return parse_period_label(label).kind
-    except DataError:
-        return None
-
-
 def _resolve_target_depth(casc, target: str) -> int | None:
     """Depth for a level name or granularity keyword; None for period labels."""
     if target in casc.level_names:
@@ -158,7 +144,7 @@ def _resolve_target_depth(casc, target: str) -> int | None:
     wanted = target.lower()
     if wanted in _GRANULARITY_DEPTH_NAMES:
         for i, level_map in enumerate(casc.levels):
-            if _level_granularity(level_map) == wanted:
+            if read_leaf_label(next(iter(level_map.values())).split.child_labels[0])[0] == wanted:
                 return i + 1
         raise DataError(f"no shaping path to granularity {target!r}")
     return None
@@ -166,16 +152,10 @@ def _resolve_target_depth(casc, target: str) -> int | None:
 
 def _cmd_predict(args) -> int:
     config = _read_json(args.cascade)
-    if args.coeffs:
-        pairs = gamma_from_report(_read_json(args.coeffs)).reshape(-1, 2)
-        # Levels, splits and pairs of the wrong shape are left for cascade_from_config to reject.
-        levels = config.get("levels")
-        for level_cfg in levels if isinstance(levels, list) else ():
-            splits = level_cfg.get("splits") if isinstance(level_cfg, dict) else None
-            for split_cfg in splits if isinstance(splits, list) else ():
-                if isinstance(split_cfg, dict) and split_cfg.get("coefficients") is None:
-                    split_cfg["coefficients"] = pairs
-    casc = cascade_from_config(config)
+    report = _read_json(args.coeffs) if args.coeffs else None
+    if report is not None:
+        gamma_from_report(report)  # a report that fills no split is read all the same
+    casc = cascade_from_config(config, report)
     target, override = args.target, args.override_arbitrage
     depth = _resolve_target_depth(casc, target)
     with np.errstate(over="ignore", invalid="ignore"):  # a price that overflows exits 3 below
@@ -188,7 +168,8 @@ def _cmd_predict(args) -> int:
         raise NumericalError("a shaped price overflowed to a non-finite value")
     lines = ["label,period_start,period_end,weight,price"]
     for label, weight, price in rows:
-        start, end = leaf_window(label)
+        period = read_leaf_label(label)[1]
+        start, end = (period.start.isoformat(), period.end.isoformat()) if period else ("", "")
         lines.append(f"{label},{start},{end},{weight},{price!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -231,8 +212,9 @@ def _cmd_outliers(args) -> int:
 
 
 def _cmd_check_arbitrage(args) -> int:
-    gamma = gamma_from_report(_read_json(args.coeffs))
-    split = split_from_config(_read_json(args.split))  # any labels: the check reads only the weights
+    report = _read_json(args.coeffs)
+    split = split_from_config(_read_json(args.split))
+    gamma = gamma_from_report(report, split.child_labels)
     max_gap = arbitrage_gap(constraints_for_weights(split.weights), gamma)
     sys.stdout.write(f"max-abs arbitrage gap: {max_gap:.6g} (tolerance {args.tol:g})\n")
     if not max_gap <= args.tol:  # a NaN gap is a violation

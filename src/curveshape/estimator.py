@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, _integral, arbitrage_gap
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, _integral, arbitrage_gap, split_from_config
 from .exceptions import DataError, DegenerateScaleWarning, NumericalError
-from .robust import MAD_CONSISTENCY, WeightFunctionSpec, _median, mad_scale, qn_scale
+from .robust import WeightFunctionSpec, _mad, _median, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
@@ -149,8 +149,14 @@ class FitResult:
         }
 
 
-def gamma_from_report(report: dict) -> np.ndarray:
-    """Recover the interleaved coefficient vector from a fit report."""
+def gamma_from_report(report: dict, child_labels=None, parent: str | None = None) -> np.ndarray | None:
+    """A fit report's interleaved (A, B) pairs, one for each of ``child_labels`` in that order.
+
+    A report with a ``split`` block, as ``fit`` writes, holds the pair of
+    that block's j-th child in place j, and must list the same children;
+    given ``parent``, one fitted to another parent gives None.  Without the
+    block or ``child_labels``, the report's own order is kept.
+    """
     try:
         coeffs = report["coefficients"]
         if not isinstance(coeffs, dict):
@@ -161,7 +167,16 @@ def gamma_from_report(report: dict) -> np.ndarray:
     gamma = _floats(values, "fit report coefficients")
     if gamma.ndim != 1:
         raise DataError("fit report coefficients must be numbers, not lists")
-    return gamma
+    if "split" not in report or child_labels is None:
+        return gamma
+    fitted = split_from_config(report["split"])
+    if parent is not None and parent != fitted.parent_label:
+        return None
+    labels = fitted.child_labels
+    order = [labels.index(label) if label in labels else -1 for label in child_labels]  # by ==: any JSON label
+    if gamma.size != 2 * len(labels) or sorted(order) != list(range(len(labels))):
+        raise DataError(f"fit report's {gamma.size // 2} pairs for {list(labels)} cannot pair {list(child_labels)}")
+    return gamma.reshape(-1, 2)[order].reshape(-1)
 
 
 def _initial_weights(
@@ -178,8 +193,7 @@ def _initial_weights(
     x, y = dataset.x, dataset.y
     row_norms = np.linalg.norm(y - _median(y), axis=1)
     den_y = float(_median(row_norms))
-    dev_x = np.abs(x - _median(x))
-    den_x = float(MAD_CONSISTENCY * _median(dev_x))
+    dev_x, den_x = _mad(x)
     degenerate = False
     if den_y <= 0.0:
         den_y = _SCALE_FLOOR
@@ -206,24 +220,22 @@ def _residual_distances(
 
     Each column is median-centered and divided by its consistency-scaled
     MAD (or Qn); the K standardized entries combine as the Euclidean norm
-    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.  Each
-    column median is taken once: the MAD is ``mad_scale(r, axis=0)``'s own
-    arithmetic on the centered columns.  A degenerate scale warns at the
-    line that called ``irls_fit``.
+    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.  The
+    MAD is ``mad_scale(r, axis=0)``'s, taken with the absolute deviations it
+    leaves, whose squares are the centered values' squares.  A degenerate
+    scale warns at the line that called ``irls_fit``.
     """
-    centered = r - _median(r)
+    dev, scales = _mad(r)
     if scale_estimator == "qn":
         scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
-    else:
-        scales = MAD_CONSISTENCY * _median(np.abs(centered))
     if (scales > 0.0).all():
-        degenerate, z = False, centered / scales
+        degenerate, z = False, dev / scales
     else:  # a zero scale is flagged, a NaN one is not; either column standardizes to 0
         degenerate = bool(np.any(scales <= 0.0))
         if degenerate:
             message = "degenerate residual scale in some column; standardized values set to 0"
             warnings.warn(message, DegenerateScaleWarning, stacklevel=4)
-        z = np.divide(centered, scales, out=np.zeros_like(centered), where=scales > 0.0)
+        z = np.divide(dev, scales, out=np.zeros_like(dev), where=scales > 0.0)
     d = np.sqrt(np.add.reduce(z * z, axis=1)) / np.sqrt(r.shape[1])  # np.linalg.norm's formula
     return d, scales, degenerate
 

@@ -83,13 +83,19 @@ def _median(v: np.ndarray):
     return mid
 
 
+def _mad(v: np.ndarray):
+    """Absolute deviations from the median along axis 0, with their normal-consistent MAD."""
+    dev = np.abs(v - _median(v))
+    return dev, MAD_CONSISTENCY * _median(dev)
+
+
 def mad_scale(values, axis: int | None = None):
     """Normal-consistent median absolute deviation; with ``axis``, one per slice along it."""
     v = np.asarray(values, dtype=float)
     v = v.ravel() if axis is None else np.moveaxis(v, axis, 0)
     if v.shape[0] < 2:
         raise DataError("degenerate sample")
-    mad = MAD_CONSISTENCY * _median(np.abs(v - _median(v)))
+    mad = _mad(v)[1]
     return float(mad) if axis is None else mad
 
 

@@ -24,7 +24,7 @@ from .constraints import (
     split_from_config,
     split_to_config,
 )
-from .estimator import Dataset, FitConfig, FitResult, irls_fit
+from .estimator import Dataset, FitConfig, FitResult, gamma_from_report, irls_fit
 from .exceptions import DataError
 from .periods import Period, parse_period_label
 
@@ -226,14 +226,16 @@ def hour_split(parent_label: str) -> GranularitySplit:
     )
 
 
-def cascade_from_config(config: dict) -> ShapingCascade:
+def cascade_from_config(config: dict, report: dict | None = None) -> ShapingCascade:
     """Build a cascade from its declarative config.
 
     Schema: ``{"root": label, "levels": [{"name": str, "splits": [
     {"parent": ..., "children": [...], "weights": [...]?,
     "coefficients": [[A, B], ...]}]}]}``.  Children that are not period
-    labels (day types, hours) need explicit weights.  Every level is held to
-    ``FEASIBILITY_TOLERANCE`` when applied.
+    labels (day types, hours) need explicit weights.  A split whose
+    coefficients are null takes the pairs of the fit ``report``, where
+    ``gamma_from_report`` finds it fitted to that split.  Every level is
+    held to ``FEASIBILITY_TOLERANCE`` when applied.
     """
     try:
         root = config["root"]
@@ -258,6 +260,9 @@ def cascade_from_config(config: dict) -> ShapingCascade:
             if not all(isinstance(label, str) for label in (split.parent_label, *split.child_labels)):
                 raise DataError(f"cascade level {len(names)} has a split whose labels are not all strings")
             coeffs = split_cfg.get("coefficients")
+            if coeffs is None and report is not None:
+                gamma = gamma_from_report(report, split.child_labels, split.parent_label)
+                coeffs = None if gamma is None else gamma.reshape(-1, 2)
             if coeffs is None:
                 raise DataError(f"split {split.parent_label!r} has no coefficients")
             if split.parent_label in level_map:
@@ -279,14 +284,20 @@ def cascade_to_config(casc: ShapingCascade) -> dict:
     return out
 
 
-def leaf_window(label: str) -> tuple[str, str]:
-    """Best-effort (start, end) ISO stamps for a leaf label in a shaped curve.
+def read_leaf_label(label: str) -> tuple[str | None, Period | None]:
+    """A leaf label's granularity and the period named before its suffixes.
 
-    Day-type and hour suffixes fall back to their parent month window.
+    The last suffix decides the granularity: ``:H..`` is an hour and a day
+    type a day.  A label with no suffix is of its period's kind.  Either is
+    None where the label names none.
     """
-    base = label.split(":")[0]
+    base, *suffixes = label.split(":")
     try:
         period = parse_period_label(base)
     except DataError:
-        return "", ""
-    return period.start.isoformat(), period.end.isoformat()
+        period = None
+    if suffixes and suffixes[-1].startswith("H"):
+        return "hour", period
+    if label.rpartition(":")[2] in DAY_TYPES:
+        return "day", period
+    return (None if suffixes or period is None else period.kind), period

@@ -316,6 +316,50 @@ class TestPredict:
         expected = np.array([1.12, 0.88, 0.92, 1.08]) * 50.0 + np.array([-1.6, 1.4, 0.9, -0.7])
         np.testing.assert_allclose(prices, expected, atol=1e-7)
 
+    @staticmethod
+    def report(parent, children, slopes):
+        """A report fitted to ``parent``'s equal-weight split, with zero intercepts."""
+        pairs = {f"{c}{j + 1}": (a if c == "A" else 0.0) for j, a in enumerate(slopes) for c in "AB"}
+        split = {"parent": parent, "children": children, "weights": [1 / len(children)] * len(children)}
+        return {"coefficients": pairs, "split": split}
+
+    def test_report_fills_only_the_split_it_was_fitted_to(self, tmp_path, capsys):
+        # Each quarter splits into four blocks that no CAL-2014 pair belongs to.
+        quarters = SPLIT_CONFIG["children"]
+        blocks = [dict(SPLIT_CONFIG, parent=q, children=[f"{q}:{b}" for b in "abcd"], coefficients=None) for q in quarters]
+        config = self.cascade_config(None)
+        config["levels"].append({"name": "QtB", "splits": blocks})
+        report, cascade = tmp_path / "fit.json", tmp_path / "cascade.json"
+        report.write_text(json.dumps(self.report("CAL-2014", quarters, [1.2, 0.8, 1.0, 1.0])))
+        cascade.write_text(json.dumps(config))
+        argv = ["predict", "--coeffs", str(report), "--cascade", str(cascade), "--parent-price", "60", "--target", "QtB"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: split 'Q1-2014' has no coefficients\n"
+
+    def test_report_of_one_split_blames_the_splits_it_leaves_empty(self, tmp_path, capsys):
+        months = [[f"M-2014-{m:02d}" for m in range(3 * i + 1, 3 * i + 4)] for i in range(4)]
+        config = self.cascade_config([[1.0, 0.0]] * 4)
+        splits = [{"parent": q, "children": ms, "coefficients": None} for q, ms in zip(SPLIT_CONFIG["children"], months)]
+        config["levels"].append({"name": "QtM", "splits": splits})
+        report, cascade = tmp_path / "fit.json", tmp_path / "cascade.json"
+        report.write_text(json.dumps(self.report("Q1-2014", months[0], [1.03, 0.97, 1.0])))
+        cascade.write_text(json.dumps(config))
+        argv = ["predict", "--coeffs", str(report), "--cascade", str(cascade), "--parent-price", "60", "--target", "month"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: split 'Q2-2014' has no coefficients\n"
+
+    def test_report_pairs_by_label_when_the_cascade_lists_its_children_in_another_order(self, tmp_path):
+        quarters = SPLIT_CONFIG["children"]
+        config = self.cascade_config(None)
+        config["levels"][0]["splits"][0]["children"] = quarters[::-1]
+        report, cascade, out = tmp_path / "fit.json", tmp_path / "cascade.json", tmp_path / "curve.csv"
+        report.write_text(json.dumps(self.report("CAL-2014", quarters, [1.2, 0.8, 1.1, 0.9])))
+        cascade.write_text(json.dumps(config))
+        argv = ["--coeffs", str(report), "--cascade", str(cascade), "--parent-price", "50", "--target", "quarter"]
+        assert main(["predict", *argv, "--out", str(out)]) == 0
+        prices = {line.split(",")[0]: float(line.split(",")[-1]) for line in out.read_text().splitlines()[1:]}
+        assert prices == {"Q1-2014": 60.0, "Q2-2014": 40.0, "Q3-2014": 55.00000000000001, "Q4-2014": 45.0}
+
 
     def test_null_coefficient_is_a_data_error(self, workspace, capsys):
         # JSON null reads as nan; overriding the arbitrage check must not let it through.
@@ -871,6 +915,64 @@ class TestReadmeFlow:
         fit, split = fitted
         assert main(["check-arbitrage", "--coeffs", str(fit), "--split", str(split), "--tol", "1e-6"]) == 0
 
+
+@pytest.fixture(scope="module")
+def weighted_fit(tmp_path_factory):
+    """README's simulated market fitted under weights 0.1 to 0.4, and what the two commands give in that order."""
+    folder = tmp_path_factory.mktemp("weighted")
+    split, quotes, fit = folder / "split.json", folder / "quotes.csv", folder / "fit.json"
+    split.write_text(json.dumps(dict(SPLIT_CONFIG, weights=[0.1, 0.2, 0.3, 0.4])))
+    assert main(["simulate", "--out", str(quotes), "--seed", "7", "--n-dates", "300", "--fraction", "0.2", "--magnitude", "10"]) == 0
+    assert main(["fit", "--quotes", str(quotes), "--split", str(split), "--out", str(fit)]) == 0
+    return folder, fit, _check_and_predict(folder, fit, range(4), range(4))
+
+
+def _check_and_predict(folder, fit, check_order, cascade_order):
+    """check-arbitrage's exit code and gap against the split listed in ``check_order``,
+    and predict's rows by label with the cascade's split listed in ``cascade_order``."""
+
+    def split(order):
+        return dict(SPLIT_CONFIG, children=[SPLIT_CONFIG["children"][j] for j in order], weights=[0.1 * (j + 1) for j in order])
+
+    path, cascade, out = folder / "permuted.json", folder / "cascade.json", folder / "curve.csv"
+    path.write_text(json.dumps(split(check_order)))
+    cascade.write_text(json.dumps({"root": "CAL-2014", "levels": [{"name": "YtQ", "splits": [dict(split(cascade_order), coefficients=None)]}]}))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check-arbitrage", "--coeffs", str(fit), "--split", str(path)])
+    gap = float(stdout.getvalue().split(":")[1].split()[0])
+    argv = ["--coeffs", str(fit), "--cascade", str(cascade), "--parent-price", "52.5", "--target", "quarter"]
+    assert main(["predict", *argv, "--out", str(out)]) == 0
+    rows = {line.split(",")[0]: line for line in out.read_text().splitlines()[1:]}
+    return code, gap, rows
+
+
+def test_check_arbitrage_pairs_by_the_reports_labels(weighted_fit):
+    folder, fit, (code, gap, _) = weighted_fit
+    reversed_code, reversed_gap, _ = _check_and_predict(folder, fit, [3, 2, 1, 0], range(4))
+    assert code == reversed_code == 0
+    assert abs(reversed_gap - gap) <= 1e-15
+
+
+def test_check_arbitrage_refuses_a_split_of_other_children(weighted_fit, capsys):
+    folder, fit, _ = weighted_fit
+    split = folder / "months.json"
+    split.write_text(json.dumps({"parent": "Q1-2014", "children": ["M-2014-01", "M-2014-02", "M-2014-03"]}))
+    assert main(["check-arbitrage", "--coeffs", str(fit), "--split", str(split)]) == 2
+    err = capsys.readouterr().err
+    assert "['Q1-2014', 'Q2-2014', 'Q3-2014', 'Q4-2014']" in err
+    assert "['M-2014-01', 'M-2014-02', 'M-2014-03']" in err
+
+
+@settings(max_examples=12, deadline=None)
+@given(check_order=st.permutations(range(4)), cascade_order=st.permutations(range(4)))
+def test_permuting_a_splits_children_changes_no_verdict_or_price(weighted_fit, check_order, cascade_order):
+    folder, fit, (code, gap, rows) = weighted_fit
+    permuted_code, permuted_gap, permuted_rows = _check_and_predict(folder, fit, check_order, cascade_order)
+    assert (permuted_code, permuted_rows) == (code, rows)
+    assert abs(permuted_gap - gap) <= 1e-15
+
+
 def test_exit_code_for_numerical_failures(monkeypatch, capsys):
     from curveshape import cli
     from curveshape.exceptions import NumericalError
@@ -995,7 +1097,11 @@ def test_mutated_json_keeps_the_exit_code_contract(desk_quotes, data, alpha, met
     folder, quotes = desk_quotes
     docs = {
         "split.json": dict(SPLIT_CONFIG),
-        "report.json": {"method": method, "coefficients": {f"{c}{j + 1}": v for j, pair in enumerate(_QUARTER_PAIRS) for c, v in zip("AB", pair)}},
+        "report.json": {
+            "method": method,
+            "coefficients": {f"{c}{j + 1}": v for j, pair in enumerate(_QUARTER_PAIRS) for c, v in zip("AB", pair)},
+            "split": dict(SPLIT_CONFIG),
+        },
         "cascade.json": {
             "root": "CAL-2014",
             "levels": [

@@ -93,7 +93,7 @@ PARAMETERS = {
     "build_regression_dataset": ("table", "parent_kind", "child_kind"),
     "build_split": ("parent", "children"),
     "cascade": ("parent_price", "casc", "target", "override"),
-    "cascade_from_config": ("config",),
+    "cascade_from_config": ("config", "report"),
     "cascade_to_config": ("casc",),
     "classical_fit": ("dataset", "system", "alpha"),
     "compute_metrics": ("actual", "predicted"),
