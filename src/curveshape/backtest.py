@@ -8,16 +8,9 @@ from datetime import MAXYEAR, MINYEAR, date, timedelta
 
 import numpy as np
 
-from .constraints import (
-    FEASIBILITY_TOLERANCE,
-    ConstraintSystem,
-    _floats,
-    _integral,
-    arbitrage_gap,
-    constraints_for_weights,
-)
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap, constraints_for_weights
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
-from .exceptions import DataError
+from .exceptions import DataError, _floats, _integral
 from .market import QuoteTable, build_regression_dataset
 from .periods import period_children, year_period
 
@@ -39,8 +32,7 @@ class MetricsReport:
 
 def compute_metrics(actual, predicted) -> MetricsReport:
     """Error metrics: grid means plus medians of per-case row means."""
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
+    a, p = _floats(actual, "actual"), _floats(predicted, "predicted")
     if a.ndim == 1:
         a = a[:, None]
     if p.ndim == 1:
@@ -89,13 +81,17 @@ class SyntheticMarketConfig:
     def __post_init__(self) -> None:
         gamma = _floats(self.true_gamma, "true_gamma")
         weights = _floats(self.weights, "weights")
+        noise_scale = _floats(self.noise_scale, "noise_scale")
         object.__setattr__(self, "true_gamma", gamma)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "noise_scale", noise_scale)
         if gamma.size != 2 * weights.size:
             raise DataError("true_gamma must hold (A_k, B_k) pairs for each weight")
+        if noise_scale.ndim > 1 or noise_scale.size not in (1, weights.size):
+            raise DataError(f"noise_scale must be one number or one per weight, not of shape {noise_scale.shape}")
         p = self.x_path
         numbers = (p.level, p.seasonal_amplitude, p.period_days, p.noise, self.outlier_magnitude)
-        if not np.isfinite(np.append(numbers, self.noise_scale)).all():
+        if not np.isfinite(np.append(numbers, noise_scale)).all():
             raise DataError("synthetic market parameters must be finite")
         for name in ("n_dates", "delivery_year", "seed"):
             if not _integral(getattr(self, name)):
@@ -145,7 +141,7 @@ def synthesize_market(config: SyntheticMarketConfig) -> SyntheticMarket:
     k = config.weights.size
     slopes = config.true_gamma[0::2]
     intercepts = config.true_gamma[1::2]
-    noise_scale = np.broadcast_to(np.asarray(config.noise_scale, dtype=float), (k,))
+    noise_scale = np.broadcast_to(config.noise_scale, (k,))
 
     quote_dates = [config.start + timedelta(days=i) for i in range(n)]
     path = config.x_path

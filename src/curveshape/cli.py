@@ -25,10 +25,10 @@ from .backtest import (
     synthesize_market,
 )
 from .constraints import (
-    FEASIBILITY_TOLERANCE, _floats, arbitrage_gap, constraints_for_weights, split_from_config, split_to_config,
+    FEASIBILITY_TOLERANCE, arbitrage_gap, constraints_for_weights, split_from_config, split_to_config,
 )
 from .estimator import FitConfig, gamma_from_report, irls_fit, outlier_report
-from .exceptions import CurveShapeError, DataError, NumericalError
+from .exceptions import CurveShapeError, DataError, NumericalError, _floats
 from .market import build_regression_dataset, load_quotes
 from .periods import parse_period_label, period_children
 from .robust import WeightFunctionSpec

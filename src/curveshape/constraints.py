@@ -8,36 +8,15 @@ hour-weighted average of shaped child prices reproduces the parent price.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import DataError, _floats
 from .periods import Period, delivery_hours, parse_period_label
 
 _WEIGHT_SUM_TOL = 1e-12
 FEASIBILITY_TOLERANCE = 1e-6  # largest arbitrage gap that counts as arbitrage-free
-
-
-def _floats(value, what: str) -> np.ndarray:
-    """A new float array of ``value``, which a config or caller supplied; ``what`` names it in the error.
-
-    Text is refused even where it spells a number; ``None`` (JSON null) becomes NaN.
-    """
-    message = f"{what} must be numbers in a regular array"
-    try:
-        array = np.asarray(value)
-        if not (array.dtype.kind in "OU" and any(isinstance(v, str) for v in array.flat)):
-            return np.array(array, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # an object, ragged lists or an int past a float
-        raise DataError(message) from exc
-    raise DataError(message)
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included; a bool or a whole float is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -138,7 +117,7 @@ def arbitrage_gap(system: ConstraintSystem, gamma) -> float:
 
     At most ``FEASIBILITY_TOLERANCE`` is arbitrage-free; a NaN gap never is.
     """
-    g = np.asarray(gamma, dtype=float)
+    g = _floats(gamma, "gamma")
     h = system.weights
     if g.shape != (2 * h.size,):
         raise DataError(f"gamma has {g.shape} entries, expected ({2 * h.size},)")

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, _floats, _integral, arbitrage_gap, split_from_config
-from .exceptions import DataError, DegenerateScaleWarning, NumericalError
+from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap, split_from_config
+from .exceptions import DataError, DegenerateScaleWarning, NumericalError, _floats, _integral
 from .robust import WeightFunctionSpec, _mad, _median, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
@@ -34,8 +34,8 @@ class Dataset:
     case_ids: list[str] | None = None
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        self.x = _floats(self.x, "x")
+        self.y = _floats(self.y, "y")
         if self.y.ndim == 1:
             self.y = self.y[:, None]
         if self.x.ndim != 1 or self.y.ndim != 2 or self.y.shape[0] != self.x.shape[0]:
@@ -125,7 +125,7 @@ class FitResult:
         return self.gamma[1::2]
 
     def predict(self, x) -> np.ndarray:
-        xa = np.asarray(x, dtype=float)
+        xa = _floats(x, "x")
         return xa[..., None] * self.slopes + self.intercepts
 
     def to_report(self) -> dict:
@@ -264,10 +264,11 @@ def penalized_wls_solve(
     """
     if not alpha >= 0:
         raise DataError("alpha must be nonnegative")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    xa, ya, w2 = _floats(x, "x"), _floats(y, "y"), _floats(case_weights, "case_weights") ** 2
     if ya.ndim == 1:
         ya = ya[:, None]
+    if not (ya.ndim == 2 and xa.shape == w2.shape == ya.shape[:1]):
+        raise DataError(f"x {xa.shape}, y {ya.shape} and case_weights {w2.shape} must be (N,), (N, K) and (N,)")
     n, k = ya.shape
     h = system.weights
     if h.size != k:
@@ -288,7 +289,6 @@ def penalized_wls_solve(
             raise DataError("infeasible fixing")
         return gamma.reshape(-1)
 
-    w2 = np.asarray(case_weights, dtype=float) ** 2
     sw = float(w2.sum())
     xbar = float(w2 @ xa) / sw if sw > 0.0 else 0.0
     xc = xa - xbar
@@ -441,8 +441,9 @@ def ratio_average_fit(dataset: Dataset) -> np.ndarray:
 
 def rescale_to_no_arbitrage(betas, weights) -> np.ndarray:
     """Divide slopes by their weighted average so it becomes exactly one."""
-    b = np.asarray(betas, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    b, w = _floats(betas, "betas"), _floats(weights, "weights")
+    if b.ndim != 1 or b.shape != w.shape:
+        raise DataError(f"betas {b.shape} and weights {w.shape} must be one per child")
     total = float(w @ b)
     if total <= 0.0:
         raise DataError("nonpositive weighted slope sum; cannot rescale")

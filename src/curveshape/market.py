@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Dataset
-from .exceptions import DataError
+from .exceptions import DataError, _floats
 from .periods import Period, parse_contract, parse_period_label, period_children
 
 CSV_HEADER = "quote_date,contract,price"
@@ -40,7 +40,7 @@ class QuoteTable:
     def __init__(self, days, codes, prices, labels) -> None:
         days = np.array(days, dtype=np.int64)
         codes = np.array(codes, dtype=np.intp)
-        prices = np.array(prices, dtype=np.float64)
+        prices = _floats(prices, "prices")
         if not (days.ndim == codes.ndim == prices.ndim == 1 and days.size == codes.size == prices.size):
             raise DataError("quote columns must be 1-D and of one length")
         if days.size and not (1 <= days.min() and days.max() <= date.max.toordinal()):
@@ -106,21 +106,21 @@ def _isoformat(days: np.ndarray) -> list[str]:
 
 
 def load_quotes(source) -> QuoteTable:
-    """Parse a quote CSV from a path, string, or open text stream.
+    """Parse a quote CSV from a path, given as a ``str`` or ``Path``, or from an open text stream.
 
     Each distinct date text and contract text is parsed once per call;
     relative codes are still resolved against each row's own quote date.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, (str, Path)):
         path = Path(source)
         try:
             text = path.read_text()
         except (OSError, ValueError) as exc:  # missing, a directory, unreadable or not text
             raise DataError(f"cannot read quotes file: {path}") from exc
-    elif isinstance(source, str):
-        text = source
-    else:
+    elif hasattr(source, "read"):
         text = source.read()
+    else:
+        raise DataError(f"quotes source must be a path or an open text stream, not {type(source).__name__}")
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")

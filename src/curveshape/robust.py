@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import DataError, _floats, _integral
 
 MAD_CONSISTENCY = 1.4826
 
@@ -91,9 +91,11 @@ def _mad(v: np.ndarray):
 
 def mad_scale(values, axis: int | None = None):
     """Normal-consistent median absolute deviation; with ``axis``, one per slice along it."""
-    v = np.asarray(values, dtype=float)
+    v = _floats(values, "values")
+    if not (axis is None or (_integral(axis) and -v.ndim <= axis < v.ndim)):
+        raise DataError(f"axis {axis!r} is not an axis of {v.ndim}-d values")
     v = v.ravel() if axis is None else np.moveaxis(v, axis, 0)
-    if v.shape[0] < 2:
+    if v.shape[0] < 2 or not v.size:
         raise DataError("degenerate sample")
     mad = _mad(v)[1]
     return float(mad) if axis is None else mad
@@ -145,7 +147,8 @@ def qn_scale(values) -> float:
     whose rounding can misplace it.  Since ``fl(a - b) = -fl(b - a)``, the
     result is the same float a full enumeration of ``|v_i - v_j|`` selects.
     """
-    y = np.sort(np.asarray(values, dtype=float), axis=None)
+    y = _floats(values, "values").ravel()
+    y.sort()  # in place: np.sort(axis=None) would copy it once more
     n = y.size
     if n < 2:
         raise DataError("degenerate sample")
@@ -384,7 +387,7 @@ def _like_input(x, out):
 
 def hampel_weight(x):
     """Redescending three-part weight: 1, a/|x|, linear decay, then 0 beyond r."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    ax = np.abs(_floats(x, "x"))
     # min(1, a/|x|) and the linear decay clipped to [0, 1], with no divide by 0 or overflow
     decay = (HAMPEL_R - np.minimum(ax, HAMPEL_R)) / (HAMPEL_R - HAMPEL_B)
     return _like_input(x, HAMPEL_A / np.maximum(ax, HAMPEL_A) * np.minimum(decay, 1.0))
@@ -394,12 +397,12 @@ def bisquare_loss(x, k: float = BISQUARE_K):
     """Bounded bisquare loss, flat at k^2/6 beyond the cutoff."""
     if k <= 0:
         raise DataError("bisquare_k must be positive")
-    xa = np.asarray(x, dtype=float)
+    xa = _floats(x, "x")
     inside = (k * k / 6.0) * (1.0 - (1.0 - xa * xa / (k * k)) ** 3)
     return _like_input(x, np.where(np.abs(xa) <= k, inside, k * k / 6.0))
 
 
 def bisquare_weight(x):
     """Rescaled derivative of the bisquare loss: (1 - (x/k)^2)^2 inside, 0 outside."""
-    u = np.minimum(np.abs(np.asarray(x, dtype=float)) / BISQUARE_K, 1.0)
+    u = np.minimum(np.abs(_floats(x, "x")) / BISQUARE_K, 1.0)
     return _like_input(x, (1.0 - u**2) ** 2)

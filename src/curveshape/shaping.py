@@ -17,18 +17,21 @@ from .constraints import (
     FEASIBILITY_TOLERANCE,
     ConstraintSystem,
     GranularitySplit,
-    _floats,
-    _integral,
     arbitrage_gap,
     constraints_for_weights,
     split_from_config,
     split_to_config,
 )
 from .estimator import Dataset, FitConfig, FitResult, gamma_from_report, irls_fit
-from .exceptions import DataError
+from .exceptions import DataError, _floats, _integral
 from .periods import Period, parse_period_label
 
 DAY_TYPES = ("WD", "SAT", "SUN")
+
+
+def _csv_field(label) -> bool:
+    """Whether ``label`` is a string with no comma, quote or newline, which ``predict`` writes as one CSV field."""
+    return isinstance(label, str) and set(label).isdisjoint(',"\r\n')
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,7 @@ def shape_curve(
 
 def verify_consistency(parent_price: float, child_prices, weights) -> float:
     """Signed gap between the weighted child average and the parent price."""
-    c = np.asarray(child_prices, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    c, w = _floats(child_prices, "child_prices"), _floats(weights, "weights")
     if c.shape != w.shape:
         raise DataError("child prices and weights disagree in shape")
     return float(w @ c - parent_price)
@@ -242,8 +244,8 @@ def cascade_from_config(config: dict, report: dict | None = None) -> ShapingCasc
         level_cfgs = config["levels"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"cascade config needs 'root' and 'levels': {exc}") from exc
-    if not isinstance(root, str):
-        raise DataError(f"cascade config 'root' must be a label string, not {root!r}")
+    if not _csv_field(root):
+        raise DataError(f"cascade config 'root' must be a label string with no comma, quote or newline: {root!r}")
     if not isinstance(level_cfgs, list):
         raise DataError("cascade config 'levels' must be a list")
     names, maps = [], []
@@ -257,8 +259,11 @@ def cascade_from_config(config: dict, report: dict | None = None) -> ShapingCasc
         level_map = {}
         for split_cfg in split_cfgs:
             split = split_from_config(split_cfg)
-            if not all(isinstance(label, str) for label in (split.parent_label, *split.child_labels)):
-                raise DataError(f"cascade level {len(names)} has a split whose labels are not all strings")
+            for label in (split.parent_label, *split.child_labels):
+                if not _csv_field(label):
+                    raise DataError(
+                        f"cascade level {len(names)} label {label!r} must be a string with no comma, quote or newline"
+                    )
             coeffs = split_cfg.get("coefficients")
             if coeffs is None and report is not None:
                 gamma = gamma_from_report(report, split.child_labels, split.parent_label)

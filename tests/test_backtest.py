@@ -532,3 +532,25 @@ def test_walking_rows_by_position_matches_the_date_loop(seed, two_parents, conta
             assert date.fromisoformat(text.removeprefix("empty window before ")) < train[0]
         else:
             assert new == old
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SyntheticMarketConfig(GAMMA4, W4, outlier_magnitude=np.inf), "^synthetic market parameters must be finite$"),
+        (lambda: SyntheticMarketConfig(GAMMA4, W4, contamination_type="diagonal"), "^unknown contamination type: 'diagonal'$"),
+        (lambda: SyntheticMarketConfig(GAMMA4, W4, contamination_sign="up"), "^unknown contamination sign: 'up'$"),
+        (
+            lambda: synthesize_market(SyntheticMarketConfig(np.tile([1.0, 0.0], 3), np.full(3, 1 / 3), n_dates=5)),
+            "^gamma has 3 children but CAL-2014 has 4 quarters$",
+        ),
+        (
+            lambda: fit_method("median", Dataset(x=np.arange(3.0), y=np.ones((3, 4))), constraints_for_weights(W4)),
+            r"^unknown method 'median'; expected one of \('mcrm', 'classical', 'ratio-average'\)$",
+        ),
+    ],
+    ids=["infinite-magnitude", "contamination-type", "contamination-sign", "three-children", "unknown-method"],
+)
+def test_synthetic_config_and_method_errors_name_the_value(make, message):
+    with pytest.raises(DataError, match=message):
+        make()

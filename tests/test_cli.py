@@ -232,6 +232,16 @@ class TestPredict:
         assert main(["predict", *argv]) == 2
         assert "'CAL-2014'" in capsys.readouterr().err
 
+    def test_label_with_a_comma_is_a_data_error(self, tmp_path, capsys):
+        # written unquoted, "base,peak" would make a six-field row under the five-column header
+        split = {"parent": "B", "children": ["base,peak", "offpeak"], "weights": [0.5, 0.5], "coefficients": [[1.0, 0.0]] * 2}
+        cascade, out = tmp_path / "cascade.json", tmp_path / "curve.csv"
+        cascade.write_text(json.dumps({"root": "B", "levels": [{"name": "L", "splits": [split]}]}))
+        argv = ["--cascade", str(cascade), "--parent-price", "50", "--target", "L", "--out", str(out)]
+        assert main(["predict", *argv]) == 2
+        assert "label 'base,peak' must be a string with no comma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_splits_for_one_parent_in_a_level(self, workspace, capsys):
         tmp_path, _, _ = workspace
         config = self.cascade_config([[1.0, 0.0]] * 4)
@@ -491,6 +501,12 @@ class TestBacktestCommand:
             ]
         )
         assert rc == 2
+
+    def test_range_that_ends_before_it_starts(self, workspace, capsys):
+        tmp_path, quotes, split = workspace
+        argv = ["--train", "2013-03-31:2013-01-02", "--test", "2013-04-01:2013-05-01"]
+        assert main(["backtest", "--quotes", str(quotes), "--split", str(split), *argv]) == 2
+        assert capsys.readouterr().err == "error: range '2013-03-31:2013-01-02' ends before it starts\n"
 
     def test_bad_range_syntax(self, workspace):
         tmp_path, quotes, split = workspace

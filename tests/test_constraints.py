@@ -245,3 +245,8 @@ def test_split_validation():
         GranularitySplit("p", ("a", "b"), np.array([1.0001, -0.0001]))
     with pytest.raises(DataError, match="disagree"):
         GranularitySplit("p", ("a",), np.array([0.5, 0.5]))
+
+
+def test_no_children_do_not_partition_a_parent():
+    with pytest.raises(DataError, match="^children do not partition parent$"):
+        build_split(year_period(2014), [])

@@ -830,3 +830,13 @@ class TestRelabelingInvariance:
         shuffled = irls_fit(Dataset(x=dataset.x[order], y=dataset.y[order]), system)
         np.testing.assert_allclose(shuffled.gamma, fit.gamma, rtol=0, atol=1e-6)
         np.testing.assert_allclose(shuffled.case_weights, fit.case_weights[order], rtol=0, atol=1e-6)
+
+
+def test_dataset_x_of_two_dimensions_is_a_data_error():
+    with pytest.raises(DataError, match=r"^x must be \(N,\) and y \(N, K\) with matching N$"):
+        Dataset(x=np.ones((3, 1)), y=np.ones((3, 2)))
+
+
+def test_report_coefficients_given_as_lists_are_a_data_error():
+    with pytest.raises(DataError, match="^fit report coefficients must be numbers, not lists$"):
+        gamma_from_report({"coefficients": {"A1": [1.0], "B1": [0.0]}})

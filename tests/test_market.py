@@ -1,5 +1,6 @@
 """Tests for quote ingestion and dataset assembly."""
 
+import io
 import math
 import tracemalloc
 from collections.abc import Callable
@@ -36,7 +37,7 @@ def _items(table: QuoteTable) -> dict[tuple[date, str], float]:
 
 class TestLoadQuotes:
     def test_snapshot_rows_resolve_distinctly(self):
-        table = load_quotes(TABLE_SNAPSHOT)
+        table = load_quotes(io.StringIO(TABLE_SNAPSHOT))
         assert len(table) == 8
         assert set(table.labels) == {
             "D-2012-05-04",
@@ -51,30 +52,30 @@ class TestLoadQuotes:
         assert _items(table)[date(2012, 5, 3), "CAL-2013"] == 50.20
 
     def test_empty_after_header(self):
-        assert len(load_quotes("quote_date,contract,price\n")) == 0
+        assert len(load_quotes(io.StringIO("quote_date,contract,price\n"))) == 0
 
     def test_bad_price_names_line(self):
         csv = "quote_date,contract,price\n2012-05-03,Q+1,43.20\n2012-05-03,Q+2,abc\n"
         with pytest.raises(DataError, match="line 3"):
-            load_quotes(csv)
+            load_quotes(io.StringIO(csv))
 
     @pytest.mark.parametrize("price", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_price_names_line(self, price):
         csv = f"quote_date,contract,price\n2012-05-03,Q+1,43.20\n2012-05-03,Q+2,{price}\n"
         with pytest.raises(DataError, match="^line 3: non-finite price$"):
-            load_quotes(csv)
+            load_quotes(io.StringIO(csv))
 
     def test_bad_date_names_line(self):
         with pytest.raises(DataError, match="line 2"):
-            load_quotes("quote_date,contract,price\n03/05/2012,Q+1,43.20\n")
+            load_quotes(io.StringIO("quote_date,contract,price\n03/05/2012,Q+1,43.20\n"))
 
     def test_bad_contract_names_line(self):
         with pytest.raises(DataError, match="line 2"):
-            load_quotes("quote_date,contract,price\n2012-05-03,Z+1,43.20\n")
+            load_quotes(io.StringIO("quote_date,contract,price\n2012-05-03,Z+1,43.20\n"))
 
     def test_missing_header(self):
         with pytest.raises(DataError, match="line 1"):
-            load_quotes("date,code,px\n2012-05-03,Q+1,43.20\n")
+            load_quotes(io.StringIO("date,code,px\n2012-05-03,Q+1,43.20\n"))
 
     def test_duplicate_rejected(self):
         csv = (
@@ -83,16 +84,16 @@ class TestLoadQuotes:
             "2012-05-03,Q3-2012,43.25\n"  # same resolved window
         )
         with pytest.raises(DataError, match="line 3: duplicate quote for Q3-2012 on 2012-05-03"):
-            load_quotes(csv)
+            load_quotes(io.StringIO(csv))
 
     def test_started_delivery_rejected(self):
         csv = "quote_date,contract,price\n2014-05-03,CAL-2014,41.0\n"
         with pytest.raises(DataError, match="starts before"):
-            load_quotes(csv)
+            load_quotes(io.StringIO(csv))
 
     def test_relative_code_resolves_per_row(self):
         csv = "quote_date,contract,price\n2013-03-29,Q+1,40.0\n2013-04-01,Q+1,41.0\n"
-        assert list(_items(load_quotes(csv))) == [(date(2013, 3, 29), "Q2-2013"), (date(2013, 4, 1), "Q3-2013")]
+        assert list(_items(load_quotes(io.StringIO(csv)))) == [(date(2013, 3, 29), "Q2-2013"), (date(2013, 4, 1), "Q3-2013")]
 
     def test_started_delivery_names_the_later_row(self):
         csv = (
@@ -102,7 +103,7 @@ class TestLoadQuotes:
             "2013-04-02,Q2-2013,41.0\n"  # the same label, quoted after delivery starts
         )
         with pytest.raises(DataError, match="line 4: delivery window of Q2-2013 starts before"):
-            load_quotes(csv)
+            load_quotes(io.StringIO(csv))
 
     def test_each_distinct_contract_is_parsed_once(self, monkeypatch):
         calls = []
@@ -118,7 +119,7 @@ class TestLoadQuotes:
             for m in (1, 2, 3)
             for c in ("CAL-2014", "Q1-2014", "Q2-2014", "Q3-2014", "Q4-2014")
         ]
-        table = load_quotes("quote_date,contract,price\n" + "\n".join(rows) + "\n")
+        table = load_quotes(io.StringIO("quote_date,contract,price\n" + "\n".join(rows) + "\n"))
         assert len(table) == 15
         assert sorted(calls) == ["CAL-2014", "Q1-2014", "Q2-2014", "Q3-2014", "Q4-2014"]
 
@@ -134,12 +135,12 @@ class TestLoadQuotes:
     def test_period_past_year_9999_names_its_line(self, contract):
         csv = f"quote_date,contract,price\n2013-01-02,CAL-2014,50\n2013-01-02,{contract},50\n"
         with pytest.raises(DataError, match=r"^line 3: ") as raised:
-            load_quotes(csv)
+            load_quotes(io.StringIO(csv))
         assert contract in str(raised.value)
 
     def test_serialization_roundtrip(self):
-        table = load_quotes(TABLE_SNAPSHOT)
-        again = load_quotes(table.to_csv())
+        table = load_quotes(io.StringIO(TABLE_SNAPSHOT))
+        again = load_quotes(io.StringIO(table.to_csv()))
         assert _items(again) == _items(table)
         assert again.to_csv() == table.to_csv()
 
@@ -150,12 +151,12 @@ class TestLoadQuotes:
             "2013-01-03,Y+1,51.0\n"
             "2013-01-04,Y+1,52.0\n"
         )
-        table = load_quotes(csv)
+        table = load_quotes(io.StringIO(csv))
         sub = table.filter_dates(date(2013, 1, 2), date(2013, 1, 3))
         assert len(sub) == 2
 
     def test_merge_rejects_a_quote_held_by_both_tables(self):
-        table = load_quotes(TABLE_SNAPSHOT)
+        table = load_quotes(io.StringIO(TABLE_SNAPSHOT))
         other = QuoteTable([date(2012, 5, 3).toordinal(), date(2012, 5, 4).toordinal()], [0, 0], [43.25, 43.3], ["Q3-2012"])
         with pytest.raises(DataError, match="duplicate quote for Q3-2012 on 2012-05-03"):
             table.merged_with(other)
@@ -172,7 +173,7 @@ class TestLoadQuotes:
                 table.merged_with(QuoteTable([next_day], [0], [52.0], [spelling]))
 
     def test_columns_are_read_only_and_checked(self):
-        table = load_quotes(TABLE_SNAPSHOT)
+        table = load_quotes(io.StringIO(TABLE_SNAPSHOT))
         assert (table.days.dtype, table.codes.dtype, table.prices.dtype) == (np.int32, np.int32, np.float64)
         for column in (table.days, table.codes, table.prices):
             with pytest.raises(ValueError):
@@ -186,9 +187,18 @@ class TestLoadQuotes:
             with pytest.raises(DataError, match=message):
                 QuoteTable(*columns, ["CAL-2014"])
 
-    def test_stream_source(self):
-        import io
+    def test_text_is_a_path_and_a_stream_is_text(self, tmp_path):
+        # a str is always a path, even where it holds CSV text
+        for text in ("quote_date,contract,price", TABLE_SNAPSHOT):
+            with pytest.raises(DataError, match="^cannot read quotes file: "):
+                load_quotes(text)
+        path = tmp_path / "quotes.csv"
+        path.write_text(TABLE_SNAPSHOT)
+        assert _items(load_quotes(str(path))) == _items(load_quotes(path)) == _items(load_quotes(io.StringIO(TABLE_SNAPSHOT)))
+        with pytest.raises(DataError, match="^quotes source must be a path or an open text stream, not bytes$"):
+            load_quotes(TABLE_SNAPSHOT.encode())
 
+    def test_stream_source(self):
         table = load_quotes(io.StringIO(TABLE_SNAPSHOT))
         assert len(table) == 8
 
@@ -198,7 +208,7 @@ def quotes_for_years(rows):
     for quote_date, prices in rows:
         for label, price in prices.items():
             lines.append(f"{quote_date},{label},{price}")
-    return load_quotes("\n".join(lines) + "\n")
+    return load_quotes(io.StringIO("\n".join(lines) + "\n"))
 
 
 class TestBuildRegressionDataset:
@@ -352,11 +362,11 @@ def _csv(rows, use_relative):
 
 @given(data=st.data())
 def test_row_order_and_code_form_leave_the_table_unchanged(data):
-    reference = load_quotes(_csv(MIXED_ROWS, [False] * len(MIXED_ROWS)))
+    reference = load_quotes(io.StringIO(_csv(MIXED_ROWS, [False] * len(MIXED_ROWS))))
     ref_dataset, ref_report = build_regression_dataset(reference)
     rows = data.draw(st.permutations(MIXED_ROWS))
     use_relative = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    table = load_quotes(_csv(rows, use_relative))
+    table = load_quotes(io.StringIO(_csv(rows, use_relative)))
     assert table.to_csv() == reference.to_csv()
     dataset, report = build_regression_dataset(table)
     assert dataset.x.tobytes() == ref_dataset.x.tobytes()
@@ -532,8 +542,8 @@ def test_load_quotes_matches_the_row_by_row_parse(data):
         expected = _row_by_row(text)
     except (DataError, OverflowError, ValueError) as exc:
         with pytest.raises(DataError) as raised:
-            load_quotes(text)
+            load_quotes(io.StringIO(text))
         if isinstance(exc, DataError):
             assert str(raised.value) == str(exc)
         return
-    assert list(_items(load_quotes(text)).items()) == list(expected.items())
+    assert list(_items(load_quotes(io.StringIO(text))).items()) == list(expected.items())

@@ -193,3 +193,19 @@ def test_labels_before_year_1000_take_four_digits(label, canonical):
     period = parse_period_label(label)
     assert period.label == canonical
     assert parse_period_label(canonical) == period
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Period(datetime(2014, 1, 1), datetime(2014, 2, 1), "fortnight"), "^unknown granularity: 'fortnight'$"),
+        (lambda: Period(datetime(2014, 2, 1), datetime(2014, 1, 1), "month"), "^invalid delivery window$"),
+        (lambda: quarter_period(2014, 5), "^invalid quarter number: 5$"),
+        # int() converts at most 4,300 digits
+        (lambda: parse_contract("D+" + "9" * 4301), r"^relative offset out of range: 'D\+9{4301}'$"),
+    ],
+    ids=["granularity", "window", "quarter", "offset-digits"],
+)
+def test_malformed_periods_are_data_errors(make, message):
+    with pytest.raises(DataError, match=message):
+        make()

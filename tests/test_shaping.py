@@ -1,5 +1,6 @@
 """Tests for level application, cascades, and recalibration."""
 
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -29,7 +30,7 @@ from curveshape import (
 from curveshape.constraints import GranularitySplit
 from curveshape.exceptions import DataError
 from curveshape.shaping import daytype_split, hour_split
-from curveshape.periods import month_period
+from curveshape.periods import month_period, year_period
 
 
 def make_level(parent, children, weights, slopes, intercepts):
@@ -305,3 +306,33 @@ class TestCascadeConfig:
         lv = random_level(rng, "SOMEWHERE", ["a", "b"])
         with pytest.raises(DataError, match="chained"):
             ShapingCascade(root="ROOT", level_names=["L"], levels=[{"SOMEWHERE": lv}])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ShapingCascade(root="CAL-2014", level_names=["YtQ"], levels=[]), "^level names and level maps disagree"),
+        (lambda: MarketMatch(child_index=0, traded_price=50.0, parent_quote=0.0), "^zero parent quote$"),
+        (lambda: daytype_split(year_period(2014)), "^day-type split needs a month parent$"),
+        (lambda: cascade_from_config({"root": "CAL-2014"}), "^cascade config needs 'root' and 'levels': 'levels'$"),
+    ],
+    ids=["level-names", "zero-quote", "daytype-parent", "no-levels"],
+)
+def test_malformed_shaping_inputs_are_data_errors(make, message):
+    with pytest.raises(DataError, match=message):
+        make()
+
+
+def _two_child_cascade(children=("base", "offpeak")):
+    split = {"parent": "B", "children": list(children), "weights": [0.5, 0.5], "coefficients": [[1.0, 0.0]] * 2}
+    return {"root": "B", "levels": [{"name": "L", "splits": [split]}]}
+
+
+@pytest.mark.parametrize("label", ["base,peak", 'base"peak', "base\rpeak", "base\npeak"])
+def test_cascade_labels_must_fit_one_csv_field(label):
+    # predict writes each label unquoted as the first field of a CSV row
+    cascade_from_config(_two_child_cascade())
+    with pytest.raises(DataError, match=f"^cascade level 0 label {re.escape(repr(label))} must be a string with no"):
+        cascade_from_config(_two_child_cascade(children=(label, "offpeak")))
+    with pytest.raises(DataError, match=f"^cascade config 'root' must be .*: {re.escape(repr(label))}$"):
+        cascade_from_config({"root": label, "levels": []})
