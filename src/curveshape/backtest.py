@@ -10,7 +10,7 @@ import numpy as np
 
 from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap, constraints_for_weights
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
-from .exceptions import DataError, _floats, _integral
+from .exceptions import DataError, _date, _floats, _number
 from .market import QuoteTable, build_regression_dataset
 from .periods import period_children, year_period
 
@@ -89,22 +89,20 @@ class SyntheticMarketConfig:
             raise DataError("true_gamma must hold (A_k, B_k) pairs for each weight")
         if noise_scale.ndim > 1 or noise_scale.size not in (1, weights.size):
             raise DataError(f"noise_scale must be one number or one per weight, not of shape {noise_scale.shape}")
-        p = self.x_path
-        numbers = (p.level, p.seasonal_amplitude, p.period_days, p.noise, self.outlier_magnitude)
-        if not np.isfinite(np.append(numbers, noise_scale)).all():
-            raise DataError("synthetic market parameters must be finite")
-        for name in ("n_dates", "delivery_year", "seed"):
-            if not _integral(getattr(self, name)):
-                raise DataError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        if not self.seed >= 0:  # numpy seeds with non-negative integers only
-            raise DataError(f"seed must be >= 0, not {self.seed}")
-        if not MINYEAR <= self.delivery_year < MAXYEAR:  # the delivery year ends where the next begins
-            raise DataError(f"delivery_year must lie in {MINYEAR}..{MAXYEAR - 1}, not {self.delivery_year}")
-        most = (date.max - self.start).days + 1  # quote dates run from start, a day apart
-        if not 0 <= self.n_dates <= most:
-            raise DataError(f"n_dates must lie in 0..{most} from {self.start}, not {self.n_dates}")
-        if not 0.0 <= self.contamination_fraction < 0.5:
-            raise DataError("contamination fraction must lie in [0, 0.5)")
+        if not np.isfinite(noise_scale).all():
+            raise DataError("noise_scale must be finite")
+        for name in ("level", "seasonal_amplitude", "period_days", "noise"):
+            _number(getattr(self.x_path, name), f"x_path.{name}")
+        if self.x_path.period_days == 0:  # the seasonal swing divides by it
+            raise DataError("x_path.period_days must be nonzero")
+        _number(self.outlier_magnitude, "outlier_magnitude")
+        _number(self.seed, "seed", ge=0, integer=True)  # numpy seeds with non-negative integers only
+        _number(self.delivery_year, "delivery_year", ge=MINYEAR, le=MAXYEAR - 1, integer=True)  # CAL-9999 ends in 10000
+        most = (date.max - _date(self.start, "start")).days + 1  # quote dates run from start, a day apart
+        _number(self.n_dates, f"n_dates from {self.start}", ge=0, le=most, integer=True)
+        _number(self.contamination_fraction, "contamination_fraction", ge=0, lt=0.5)
+        if self.contamination_column is not None:
+            _number(self.contamination_column, "contamination_column", ge=0, lt=weights.size, integer=True)
         if self.contamination_type not in ("vertical", "leverage"):
             raise DataError(f"unknown contamination type: {self.contamination_type!r}")
         if self.contamination_sign not in ("random", "positive", "negative"):
@@ -260,7 +258,8 @@ def backtest(
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise DataError(f"unknown methods: {unknown}; expected from {METHOD_NAMES}")
-    first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
+    first = min(_date(train_range[0], "train_range start"), _date(test_range[0], "test_range start"))
+    last = max(_date(train_range[1], "train_range end"), _date(test_range[1], "test_range end"))
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
     # Case ids lead with the ISO quote date, and the rows are sorted by it.
     days = [case_id.split("|")[0] for case_id in dataset.case_ids]

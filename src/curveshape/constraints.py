@@ -32,6 +32,10 @@ class GranularitySplit:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        labels = self.child_labels  # a string would iterate into one-letter labels
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(label, str) for label in labels)):
+            raise DataError(f"split child labels must be a list or tuple of strings, not {labels!r}")
+        object.__setattr__(self, "child_labels", tuple(labels))
         w = _floats(self.weights, "split weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -11,14 +11,13 @@ single solve and the ratio-average baseline build their results here too.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap, split_from_config
-from .exceptions import DataError, DegenerateScaleWarning, NumericalError, _floats, _integral
+from .exceptions import DataError, DegenerateScaleWarning, NumericalError, _floats, _number
 from .robust import WeightFunctionSpec, _mad, _median, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
@@ -87,18 +86,12 @@ class FitConfig:
     feasibility_retry: bool = True
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise DataError("tolerance must be positive")
-        if not _integral(self.max_iterations):
-            raise DataError(f"max_iterations must be an integer, not {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be >= 1")
+        _number(self.tolerance, "tolerance", gt=0)
+        _number(self.max_iterations, "max_iterations", ge=1, integer=True)
         if self.scale_estimator not in ("mad", "qn"):
             raise DataError(f"unknown scale estimator: {self.scale_estimator!r}")
-        c = self.alpha_multiplier
-        real = isinstance(c, numbers.Real) and not isinstance(c, bool)
-        if not (c == "auto" or (real and c >= 0)):
-            raise DataError(f"alpha_multiplier must be 'auto' or a real number >= 0, not {c!r}")
+        if not (isinstance(self.alpha_multiplier, str) and self.alpha_multiplier == "auto"):
+            _number(self.alpha_multiplier, "alpha_multiplier", ge=0, le=math.inf)
 
 
 @dataclass
@@ -262,8 +255,7 @@ def penalized_wls_solve(
     out, shift r by ``h_j (A_j, B_j)`` and are returned unchanged.  A
     rank-deficient weighted design is an error.
     """
-    if not alpha >= 0:
-        raise DataError("alpha must be nonnegative")
+    _number(alpha, "alpha", ge=0, le=math.inf)
     xa, ya, w2 = _floats(x, "x"), _floats(y, "y"), _floats(case_weights, "case_weights") ** 2
     if ya.ndim == 1:
         ya = ya[:, None]
@@ -277,11 +269,12 @@ def penalized_wls_solve(
     gamma = np.empty((k, 2))
     r = system.rhs
     for j, pair in pins.items():
-        if not 0 <= j < k:
-            raise DataError(f"pinned child {j} out of range for K={k}")
-        gamma[j] = pair
-        if not (math.isfinite(gamma[j, 0]) and math.isfinite(gamma[j, 1])):
-            raise DataError(f"pinned child {j} needs a finite (A, B), not {pair}")
+        _number(j, "pinned child", ge=0, lt=k, integer=True)
+        try:
+            a, b = pair
+        except (TypeError, ValueError):  # not two values
+            raise DataError(f"pinned child {j} needs an (A, B) pair, not {pair!r}") from None
+        gamma[j] = _number(a, f"pinned child {j}'s A"), _number(b, f"pinned child {j}'s B")
         r -= h[j] * gamma[j]
     free = [j for j in range(k) if j not in pins] if pins else slice(None)
     if not free:
@@ -461,6 +454,7 @@ def ratio_average_result(dataset: Dataset, system: ConstraintSystem) -> FitResul
 
 def outlier_report(result: FitResult, threshold: float = 0.6) -> list[tuple[str, float]]:
     """Cases whose final weight fell below the threshold, most suspect first."""
+    _number(threshold, "threshold")
     flagged = [
         (cid, float(w))
         for cid, w in zip(result.case_ids, result.case_weights)

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, and the readers of outside values that raise it."""
 
+import math
 import numbers
+from datetime import date, datetime
 
 import numpy as np
 
@@ -36,6 +38,27 @@ def _floats(value, what: str) -> np.ndarray:
     raise DataError(message)
 
 
-def _integral(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included; a bool or a whole float is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _number(value, what: str, *, ge=None, gt=None, le=None, lt=None, integer: bool = False):
+    """``value``, one real (with ``integer``, integral) number a config or caller supplied, returned as given.
+
+    ``what`` names it in the error; the bounds are pydantic's ``ge`` >=, ``gt`` >, ``le`` <= and ``lt`` <.  Text, even
+    numeric, bools, ``None``, NaN, arrays (0-d too), ints past a float and infinities, bar ``le=inf``, are refused.
+    """
+    if isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool):
+        try:
+            finite = integer or math.isfinite(value) or value == le == math.inf
+        except OverflowError:  # an int past the largest float
+            finite = False
+        above = (ge is None or value >= ge) and (gt is None or value > gt)
+        if finite and above and (le is None or value <= le) and (lt is None or value < lt):
+            return value
+    kind = "an integer" if integer else "a number" if le == math.inf else "a finite number"
+    limits = " and".join(f" {op} {b}" for op, b in zip((">=", ">", "<=", "<"), (ge, gt, le, lt)) if b is not None)
+    raise DataError(f"{what} must be {kind}{limits}, not {value!r}")
+
+
+def _date(value, what: str) -> date:
+    """``value`` if it is a ``datetime.date`` but not a ``datetime``; ``what`` names it in the error."""
+    if isinstance(value, date) and not isinstance(value, datetime):
+        return value
+    raise DataError(f"{what} must be a date, not {value!r}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Dataset
-from .exceptions import DataError, _floats
+from .exceptions import DataError, _date, _floats
 from .periods import Period, parse_contract, parse_period_label, period_children
 
 CSV_HEADER = "quote_date,contract,price"
@@ -38,20 +38,19 @@ class QuoteTable:
     """
 
     def __init__(self, days, codes, prices, labels) -> None:
-        days = np.array(days, dtype=np.int64)
-        codes = np.array(codes, dtype=np.intp)
-        prices = _floats(prices, "prices")
+        days, codes, prices = _floats(days, "days"), _floats(codes, "codes"), _floats(prices, "prices")
         if not (days.ndim == codes.ndim == prices.ndim == 1 and days.size == codes.size == prices.size):
-            raise DataError("quote columns must be 1-D and of one length")
-        if days.size and not (1 <= days.min() and days.max() <= date.max.toordinal()):
-            raise DataError("quote date ordinal out of range")
+            raise DataError("days, codes and prices must be 1-D and of one length")
+        # NaN fails each check below, and a fraction the last one: both columns were read as floats.
+        if days.size and not (1 <= days.min() and days.max() <= date.max.toordinal() and (days % 1 == 0).all()):
+            raise DataError(f"days must be whole numbers >= 1 and <= {date.max.toordinal()}")
         parsed = [parse_period_label(label) for label in labels]
-        if codes.size and not (0 <= codes.min() and codes.max() < len(parsed)):
-            raise DataError("label code out of range")
+        if codes.size and not (0 <= codes.min() and codes.max() < len(parsed) and (codes % 1 == 0).all()):
+            raise DataError(f"codes must be whole numbers >= 0 and < {len(parsed)}")
         periods = {period.label: period for period in parsed}
         canonical = sorted(periods)
-        position = {label: i for i, label in enumerate(canonical)}
-        codes = np.array([position[period.label] for period in parsed], dtype=np.intp)[codes]  # canonical codes
+        position = {label: i for i, label in enumerate(canonical)}  # the canonical code of each label
+        codes = np.array([position[period.label] for period in parsed], dtype=np.intp)[codes.astype(np.intp)]
         quoted = np.bincount(codes, minlength=len(canonical)) > 0
         codes = (np.cumsum(quoted) - 1)[codes]  # leave out the labels no row quotes
         self.labels: tuple[str, ...] = tuple(compress(canonical, quoted))
@@ -77,7 +76,7 @@ class QuoteTable:
 
     def filter_dates(self, start: date, end: date) -> "QuoteTable":
         """Quotes with start <= quote_date <= end."""
-        keep = (self.days >= start.toordinal()) & (self.days <= end.toordinal())
+        keep = (self.days >= _date(start, "start").toordinal()) & (self.days <= _date(end, "end").toordinal())
         return QuoteTable(self.days[keep], self.codes[keep], self.prices[keep], self.labels)
 
     def merged_with(self, other: "QuoteTable") -> "QuoteTable":
@@ -122,7 +121,7 @@ def load_quotes(source) -> QuoteTable:
     else:
         raise DataError(f"quotes source must be a path or an open text stream, not {type(source).__name__}")
     lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
+    if not lines or lines[0].removeprefix("\ufeff").strip() != CSV_HEADER:  # Excel's "CSV UTF-8" opens with a BOM
         raise DataError(f"line 1: expected header {CSV_HEADER!r}")
     labels: dict[str, int] = {}  # the code of each label, in order of first quote
     quoted: dict[int, float] = {}  # price by label code << 22 | date ordinal; an ordinal is below 2**22

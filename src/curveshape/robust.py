@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError, _floats, _integral
+from .exceptions import DataError, _floats, _number
 
 MAD_CONSISTENCY = 1.4826
 
@@ -92,9 +92,7 @@ def _mad(v: np.ndarray):
 def mad_scale(values, axis: int | None = None):
     """Normal-consistent median absolute deviation; with ``axis``, one per slice along it."""
     v = _floats(values, "values")
-    if not (axis is None or (_integral(axis) and -v.ndim <= axis < v.ndim)):
-        raise DataError(f"axis {axis!r} is not an axis of {v.ndim}-d values")
-    v = v.ravel() if axis is None else np.moveaxis(v, axis, 0)
+    v = v.ravel() if axis is None else np.moveaxis(v, _number(axis, "axis", ge=-v.ndim, lt=v.ndim, integer=True), 0)
     if v.shape[0] < 2 or not v.size:
         raise DataError("degenerate sample")
     mad = _mad(v)[1]
@@ -395,8 +393,7 @@ def hampel_weight(x):
 
 def bisquare_loss(x, k: float = BISQUARE_K):
     """Bounded bisquare loss, flat at k^2/6 beyond the cutoff."""
-    if k <= 0:
-        raise DataError("bisquare_k must be positive")
+    _number(k, "k", gt=0)
     xa = _floats(x, "x")
     inside = (k * k / 6.0) * (1.0 - (1.0 - xa * xa / (k * k)) ** 3)
     return _like_input(x, np.where(np.abs(xa) <= k, inside, k * k / 6.0))

@@ -23,7 +23,7 @@ from .constraints import (
     split_to_config,
 )
 from .estimator import Dataset, FitConfig, FitResult, gamma_from_report, irls_fit
-from .exceptions import DataError, _floats, _integral
+from .exceptions import DataError, _floats, _number
 from .periods import Period, parse_period_label
 
 DAY_TYPES = ("WD", "SAT", "SUN")
@@ -117,7 +117,7 @@ def cascade(parent_price: float, casc: ShapingCascade, target: str, override: bo
             raise DataError(f"no shaping path to {target!r}")
         chain.append(owner)
         level_idx, label = owner[0], owner[1]
-    price = float(parent_price)
+    price = float(_number(parent_price, "parent_price"))
     for level_idx, parent_label, child_idx in reversed(chain):
         level = casc.levels[level_idx][parent_label]
         price = float(apply_level(price, level, override)[child_idx])
@@ -134,9 +134,8 @@ def shape_curve(
     """
     if depth is None:
         depth = len(casc.levels)
-    if not 0 <= depth <= len(casc.levels):
-        raise DataError(f"cascade has {len(casc.levels)} levels, not {depth}")
-    frontier = [(casc.root, 1.0, float(parent_price))]
+    _number(depth, "depth", ge=0, le=len(casc.levels), integer=True)
+    frontier = [(casc.root, 1.0, float(_number(parent_price, "parent_price")))]
     for level_map in casc.levels[:depth]:
         nxt = []
         for label, weight, price in frontier:
@@ -154,7 +153,7 @@ def verify_consistency(parent_price: float, child_prices, weights) -> float:
     c, w = _floats(child_prices, "child_prices"), _floats(weights, "weights")
     if c.shape != w.shape:
         raise DataError("child prices and weights disagree in shape")
-    return float(w @ c - parent_price)
+    return float(w @ c - _number(parent_price, "parent_price"))
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,8 @@ class MarketMatch:
     parent_quote: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.traded_price) and np.isfinite(self.parent_quote)):
-            raise DataError("market match prices must be finite")
-        if self.parent_quote == 0.0:
+        _number(self.traded_price, "traded_price")
+        if _number(self.parent_quote, "parent_quote") == 0.0:
             raise DataError("zero parent quote")
 
 
@@ -193,9 +191,7 @@ def recalibrate_with_traded(
     """
     if market_match is None or prior is None:
         raise DataError("recalibration needs a market match and the prior fit")
-    j = market_match.child_index
-    if not (_integral(j) and 0 <= j < system.weights.size):
-        raise DataError(f"market match child {j!r} is not in [0, {system.weights.size})")
+    j = _number(market_match.child_index, "market match child_index", ge=0, lt=system.weights.size, integer=True)
     b_j = float(prior.gamma[2 * j + 1])
     pinned = ((market_match.traded_price - b_j) / market_match.parent_quote, b_j)
     return irls_fit(dataset, system, config, fixed={j: pinned})

@@ -166,13 +166,16 @@ class TestSynthesizeMarket:
     @pytest.mark.parametrize(
         "params, message",
         [
-            (dict(n_dates=-5), f"n_dates must lie in 0..{(date.max - date(2013, 1, 2)).days + 1} from 2013-01-02, not -5"),
+            (
+                dict(n_dates=-5),
+                f"n_dates from 2013-01-02 must be an integer >= 0 and <= {(date.max - date(2013, 1, 2)).days + 1}, not -5",
+            ),
             (dict(n_dates=4_000_000), "not 4000000"),
-            (dict(start=date(9999, 12, 30)), "n_dates must lie in 0..2 from 9999-12-30, not 250"),
-            (dict(start=date(9999, 12, 1), n_dates=32), "n_dates must lie in 0..31 from 9999-12-01, not 32"),
-            (dict(delivery_year=0), "delivery_year must lie in 1..9998, not 0"),
-            (dict(delivery_year=9999), "delivery_year must lie in 1..9998, not 9999"),
-            (dict(delivery_year=10000), "delivery_year must lie in 1..9998, not 10000"),
+            (dict(start=date(9999, 12, 30)), "n_dates from 9999-12-30 must be an integer >= 0 and <= 2, not 250"),
+            (dict(start=date(9999, 12, 1), n_dates=32), "n_dates from 9999-12-01 must be an integer >= 0 and <= 31, not 32"),
+            (dict(delivery_year=0), "delivery_year must be an integer >= 1 and <= 9998, not 0"),
+            (dict(delivery_year=9999), "delivery_year must be an integer >= 1 and <= 9998, not 9999"),
+            (dict(delivery_year=10000), "delivery_year must be an integer >= 1 and <= 9998, not 10000"),
         ],
     )
     def test_a_calendar_past_the_date_range_is_a_data_error(self, params, message):
@@ -196,7 +199,7 @@ class TestSynthesizeMarket:
                 SyntheticMarketConfig(true_gamma=gamma, weights=W4)
 
     def test_negative_seed_is_a_data_error(self):
-        with pytest.raises(DataError, match="seed must be >= 0, not -1"):
+        with pytest.raises(DataError, match="seed must be an integer >= 0, not -1"):
             SyntheticMarketConfig(true_gamma=GAMMA4, weights=W4, seed=-1)
 
     @pytest.mark.parametrize("field", ["true_gamma", "weights"])
@@ -537,7 +540,7 @@ def test_walking_rows_by_position_matches_the_date_loop(seed, two_parents, conta
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: SyntheticMarketConfig(GAMMA4, W4, outlier_magnitude=np.inf), "^synthetic market parameters must be finite$"),
+        (lambda: SyntheticMarketConfig(GAMMA4, W4, outlier_magnitude=np.inf), "^outlier_magnitude must be a finite number, not inf$"),
         (lambda: SyntheticMarketConfig(GAMMA4, W4, contamination_type="diagonal"), "^unknown contamination type: 'diagonal'$"),
         (lambda: SyntheticMarketConfig(GAMMA4, W4, contamination_sign="up"), "^unknown contamination sign: 'up'$"),
         (

@@ -118,7 +118,7 @@ class TestFit:
         split = tmp_path / "int-label.json"
         split.write_text(json.dumps(dict(SPLIT_CONFIG, children=["Q1-2014", "Q2-2014", "Q3-2014", 4])))
         assert main(["fit", "--quotes", str(quotes), "--split", str(split)]) == 2
-        assert "resolvable parent and child periods" in capsys.readouterr().err
+        assert "split child labels must be a list or tuple of strings, not " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "children",
@@ -779,10 +779,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--seed", "-1"], "seed must be >= 0, not -1"),
-            (["--year", "0"], "delivery_year must lie in 1..9998, not 0"),
-            (["--year", "10000"], "delivery_year must lie in 1..9998, not 10000"),
-            (["--year", "9999"], "delivery_year must lie in 1..9998, not 9999"),  # CAL-9999 ends in year 10000
+            (["--seed", "-1"], "seed must be an integer >= 0, not -1"),
+            (["--year", "0"], "delivery_year must be an integer >= 1 and <= 9998, not 0"),
+            (["--year", "10000"], "delivery_year must be an integer >= 1 and <= 9998, not 10000"),
+            (["--year", "9999"], "delivery_year must be an integer >= 1 and <= 9998, not 9999"),  # CAL-9999 ends in 10000
         ],
     )
     def test_seed_and_year_out_of_range_are_a_data_error(self, tmp_path, capsys, flags, message):

@@ -194,7 +194,7 @@ class TestFixCoefficients:
 
     def test_bad_index(self, rng, equal_weight_system):
         for child in (4, -1):
-            with pytest.raises(DataError, match="out of range"):
+            with pytest.raises(DataError, match=f"^pinned child must be an integer >= 0 and < 4, not {child}$"):
                 self.pinned_solve(rng, equal_weight_system, {child: (1.0, 0.0)})
 
 
@@ -245,6 +245,24 @@ def test_split_validation():
         GranularitySplit("p", ("a", "b"), np.array([1.0001, -0.0001]))
     with pytest.raises(DataError, match="disagree"):
         GranularitySplit("p", ("a",), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("labels", ["ab", ("a", 2), ["a", None], {"a", "b"}, None])
+def test_split_child_labels_are_a_list_or_tuple_of_strings(labels):
+    from curveshape.constraints import GranularitySplit
+
+    # a string once made the children "a" and "b"
+    with pytest.raises(DataError, match="^split child labels must be a list or tuple of strings, not "):
+        GranularitySplit("P", labels, [0.5, 0.5])
+
+
+def test_split_keeps_its_child_labels_as_a_tuple():
+    from curveshape.constraints import GranularitySplit
+
+    labels = ["a", "b"]
+    split = GranularitySplit("P", labels, [0.5, 0.5])
+    labels.append("c")  # the caller's list is not the split's
+    assert split.child_labels == ("a", "b")
 
 
 def test_no_children_do_not_partition_a_parent():

@@ -3,13 +3,19 @@
 The ``ast`` checks read the source, so a builtin exception that a later
 change raises, a builtin type added to ``cli.main``'s handlers, or a public
 parameter read by numpy's own conversion rule, which takes numeric text,
-fails here before a probe input finds it.  The rest run the integer
-parameters whose floats and bools used to reach ``range`` or numpy, and
-every public float-array parameter with text, ragged lists and an object.
+fails here before a probe input finds it, as does a module other than
+``exceptions`` that decides for itself what counts as a number.  The rest
+run the integer parameters whose floats and bools used to reach ``range``
+or numpy, every public float-array parameter with text, ragged lists and an
+object, and every public number parameter with text, a bool, ``None``, NaN,
+a 0-d array and a value past its bounds.
 """
 
 import ast
 import inspect
+import math
+import re
+from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +30,22 @@ from curveshape import (
     MarketMatch,
     QuoteTable,
     SyntheticMarketConfig,
+    XPathParams,
     arbitrage_gap,
+    backtest,
+    cascade,
+    cascade_from_config,
     cli,
     compute_metrics,
     constraints_for_weights,
     exceptions,
     irls_fit,
+    outlier_report,
     penalized_wls_solve,
     qn_scale,
     recalibrate_with_traded,
     rescale_to_no_arbitrage,
+    shape_curve,
     synthesize_market,
     verify_consistency,
 )
@@ -156,8 +168,8 @@ def test_float_array_parameters_refuse_text_ragged_lists_and_objects(read, name,
             r"x \(4,\), y \(4, 2\) and case_weights \(3,\) must be",
         ),
         (lambda: rescale_to_no_arbitrage([1.0, 1.0, 1.0], [0.5, 0.5]), r"betas \(3,\) and weights \(2,\) must be one per"),
-        (lambda: mad_scale(np.ones((3, 3)), axis=3), "axis 3 is not an axis of 2-d values"),
-        (lambda: mad_scale(np.ones((3, 3)), axis=1.0), "axis 1.0 is not an axis of 2-d values"),
+        (lambda: mad_scale(np.ones((3, 3)), axis=3), "^axis must be an integer >= -2 and < 2, not 3$"),
+        (lambda: mad_scale(np.ones((3, 3)), axis=1.0), "^axis must be an integer >= -2 and < 2, not 1.0$"),
         (lambda: mad_scale(np.ones((0, 3)), axis=1), "degenerate sample"),
         (
             lambda: SyntheticMarketConfig(true_gamma=[1.0, 0.0, 1.0, 0.0], weights=_W, noise_scale=[1.0, 2.0, 3.0]),
@@ -208,3 +220,137 @@ def test_integer_parameters_refuse_floats_and_bools(run, field, good, bad):
     run(**{field: np.int64(good)})
     with pytest.raises(exceptions.DataError, match="must be an integer|market match child"):
         run(**{field: bad})
+
+
+def test_only_exceptions_decides_what_counts_as_a_number():
+    # _number in exceptions.py owns the rule; a numbers.Real test elsewhere would be a second one.
+    leaks = []
+    for path in sorted(Path(curveshape.__file__).parent.glob("*.py")):
+        if path.name == "exceptions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                imported = ["numbers"]
+            tested = isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2
+            if "numbers" in imported or (tested and "numbers." in ast.unparse(node.args[1])):
+                leaks.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert leaks == []
+
+
+_CASCADE = cascade_from_config(
+    {"root": "P", "levels": [{"splits": [{"parent": "P", "children": ["a", "b"], "weights": [0.5, 0.5],
+                                          "coefficients": [[1.0, 0.0], [1.0, 0.0]]}]}]}
+)
+
+
+def _market(**params):
+    return SyntheticMarketConfig(true_gamma=[1.0, 0.0, 1.0, 0.0], weights=_W, **params)
+
+
+def _solve_pinned(a=1.0, b=0.0):
+    return penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, 1.0, {0: (a, b)})
+
+
+# Each public number parameter: how to pass it, the name its error gives, whether None has a
+# meaning there, and values past its bounds.
+_NUMBERS = {
+    "FitConfig-tolerance": (lambda v: FitConfig(tolerance=v), "tolerance", False, [0.0, -1e-8, math.inf]),
+    "FitConfig-max_iterations": (lambda v: FitConfig(max_iterations=v), "max_iterations", False, [0]),
+    "FitConfig-alpha_multiplier": (lambda v: FitConfig(alpha_multiplier=v), "alpha_multiplier", False, [-1.0]),
+    "penalized_wls_solve-alpha": (
+        lambda v: penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, v), "alpha", False, [-1.0, -math.inf],
+    ),
+    "penalized_wls_solve-fixed-A": (lambda v: _solve_pinned(a=v), "pinned child 0's A", False, [math.inf]),
+    "penalized_wls_solve-fixed-B": (lambda v: _solve_pinned(b=v), "pinned child 0's B", False, [-math.inf]),
+    "outlier_report-threshold": (lambda v: outlier_report(_FIT, v), "threshold", False, [math.inf]),
+    "mad_scale-axis": (lambda v: mad_scale(np.ones((3, 3)), axis=v), "axis", True, [2, -3]),
+    "bisquare_loss-k": (lambda v: bisquare_loss(1.0, v), "k", False, [0.0, math.inf]),
+    "MarketMatch-traded_price": (lambda v: MarketMatch(0, v, 50.0), "traded_price", False, [math.inf]),
+    "MarketMatch-parent_quote": (lambda v: MarketMatch(0, 50.0, v), "parent_quote", False, [-math.inf]),
+    "recalibrate_with_traded-child_index": (
+        lambda v: _recalibrate(v), "market match child_index", False, [4, -1],
+    ),
+    "shape_curve-depth": (lambda v: shape_curve(50.0, _CASCADE, v), "depth", True, [2, -1]),
+    "shape_curve-parent_price": (lambda v: shape_curve(v, _CASCADE), "parent_price", False, [math.inf]),
+    "cascade-parent_price": (lambda v: cascade(v, _CASCADE, "a"), "parent_price", False, [math.inf]),
+    "verify_consistency-parent_price": (lambda v: verify_consistency(v, _W, _W), "parent_price", False, [math.inf]),
+    **{
+        f"SyntheticMarketConfig-x_path.{name}": (
+            lambda v, name=name: _market(x_path=XPathParams(**{name: v})), f"x_path.{name}", False, [math.inf],
+        )
+        for name in ("level", "seasonal_amplitude", "period_days", "noise")
+    },
+    "SyntheticMarketConfig-outlier_magnitude": (
+        lambda v: _market(outlier_magnitude=v), "outlier_magnitude", False, [math.inf],
+    ),
+    "SyntheticMarketConfig-seed": (lambda v: _market(seed=v), "seed", False, [-1]),
+    "SyntheticMarketConfig-delivery_year": (lambda v: _market(delivery_year=v), "delivery_year", False, [0, 9999]),
+    "SyntheticMarketConfig-n_dates": (
+        lambda v: _market(n_dates=v), "n_dates", False, [-1, (date.max - date(2013, 1, 2)).days + 2],
+    ),
+    "SyntheticMarketConfig-contamination_fraction": (
+        lambda v: _market(contamination_fraction=v), "contamination_fraction", False, [-0.1, 0.5],
+    ),
+    "SyntheticMarketConfig-contamination_column": (
+        lambda v: _market(contamination_column=v), "contamination_column", True, [2, -1],
+    ),
+    "QuoteTable-days": (lambda v: QuoteTable(v, [0], [50.0], ["CAL-2014"]), "days", False, [[0], [735000.7]]),
+    "QuoteTable-codes": (lambda v: QuoteTable([735000], v, [50.0], ["CAL-2014"]), "codes", False, [[1], [0.5]]),
+}
+_BAD = {"text": "1", "bool": True, "None": None, "nan": math.nan, "0-d-array": np.array(1.0)}
+
+
+@pytest.mark.parametrize(
+    "read, name, bad",
+    [
+        pytest.param(read, name, bad, id=f"{key}-{label}")
+        for key, (read, name, none_means, past) in _NUMBERS.items()
+        for label, bad in [*((k, v) for k, v in _BAD.items() if not (k == "None" and none_means)),
+                           *((f"past-{v!r}", v) for v in past)]
+    ],
+)
+def test_number_parameters_refuse_text_bools_none_nan_arrays_and_values_past_their_bounds(read, name, bad):
+    with pytest.raises(exceptions.DataError) as caught:
+        read(bad)
+    named, _, rest = str(caught.value).partition(" must be ")
+    assert re.search(rf"(^|, ){re.escape(name)}( from 2013-01-02|,| and |$)", named), named
+    if name not in ("days", "codes"):  # a column's message names the column, not each value
+        assert rest.endswith(f", not {bad!r}")
+
+
+def test_number_parameters_take_their_edge_values():
+    # the edges of each range, numpy's scalars and an infinite alpha pass
+    FitConfig(tolerance=np.float64(1e-300), max_iterations=np.int32(1), alpha_multiplier=math.inf)
+    assert np.isfinite(penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, math.inf)).all()
+    assert mad_scale(np.ones((3, 3)), axis=np.int64(-2)).shape == (3,)
+    _market(contamination_fraction=0.4999, contamination_column=np.int64(1), delivery_year=9998, seed=0, n_dates=0)
+    assert [label for label, _, _ in shape_curve(np.float32(50.0), _CASCADE, np.int64(0))] == ["P"]
+
+
+@pytest.mark.parametrize("key", ["1", True, 0.0, None])
+def test_pinned_child_index_is_an_integer(key):
+    with pytest.raises(exceptions.DataError, match=f"^pinned child must be an integer >= 0 and < 2, not {key!r}$"):
+        penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, 1.0, {key: (1.0, 0.0)})
+
+
+@pytest.mark.parametrize("pair", [1.0, (1.0,), (1.0, 0.0, 0.0), None])
+def test_a_pin_is_one_a_b_pair(pair):
+    # numpy once spread 1.0 or (1.0,) over both A and B
+    with pytest.raises(exceptions.DataError, match=re.escape(f"pinned child 0 needs an (A, B) pair, not {pair!r}")):
+        penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, 1.0, {0: pair})
+
+
+@pytest.mark.parametrize("bad", ["2013-01-02", datetime(2013, 1, 2), 735000, None])
+def test_date_bounds_are_dates(bad):
+    table = QuoteTable([735000], [0], [50.0], ["CAL-2014"])
+    good = (date(2013, 1, 2), date(2013, 6, 30))
+    with pytest.raises(exceptions.DataError, match=re.escape(f"start must be a date, not {bad!r}")):
+        table.filter_dates(bad, good[1])
+    with pytest.raises(exceptions.DataError, match="^end must be a date, not "):
+        table.filter_dates(good[0], bad)
+    for train, test, name in [((bad, good[1]), good, "train_range start"), (good, (good[0], bad), "test_range end")]:
+        with pytest.raises(exceptions.DataError, match=f"^{name} must be a date, not "):
+            backtest(table, train, test, ["mcrm"], _SYSTEM)
+    with pytest.raises(exceptions.DataError, match="^start must be a date, not "):
+        _market(start=bad)

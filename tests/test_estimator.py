@@ -257,8 +257,9 @@ class TestPenalizedSolve:
     @pytest.mark.parametrize("pair", [(np.nan, 0.0), (1.0, -np.inf)])
     def test_non_finite_pin(self, equal_weight_system, pair):
         x, y, w = np.arange(6.0), np.ones((6, 4)), np.ones(6)
+        name, value = ("A", pair[0]) if np.isnan(pair[0]) else ("B", pair[1])
         for fixed in ({0: pair}, {j: pair for j in range(4)}):
-            with pytest.raises(DataError, match="pinned child 0 needs a finite"):
+            with pytest.raises(DataError, match=f"^pinned child 0's {name} must be a finite number, not {value!r}$"):
                 penalized_wls_solve(x, y, w, equal_weight_system, np.inf, fixed)
 
     def test_full_pinning_with_a_nan_residual_is_infeasible(self):
@@ -830,6 +831,30 @@ class TestRelabelingInvariance:
         shuffled = irls_fit(Dataset(x=dataset.x[order], y=dataset.y[order]), system)
         np.testing.assert_allclose(shuffled.gamma, fit.gamma, rtol=0, atol=1e-6)
         np.testing.assert_allclose(shuffled.case_weights, fit.case_weights[order], rtol=0, atol=1e-6)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.floats(0.01, 1000.0))
+    def test_rescaling_prices_rescales_the_intercepts(self, seed, s):
+        # (s x, s y) = A (s x) + s B: the slopes and weights stay, the intercepts scale
+        dataset, weights = self.desk_market(seed)
+        system = constraints_for_weights(weights)
+        fit = irls_fit(dataset, system)
+        scaled = irls_fit(Dataset(x=s * dataset.x, y=s * dataset.y), system)
+        np.testing.assert_allclose(scaled.slopes, fit.slopes, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(scaled.intercepts / s, fit.intercepts, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(scaled.case_weights, fit.case_weights, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(-40.0, 500.0))
+    def test_shifting_prices_shifts_the_intercepts(self, seed, c):
+        # y + c = A (x + c) + B + c (1 - A): the slopes and weights stay
+        dataset, weights = self.desk_market(seed)
+        system = constraints_for_weights(weights)
+        fit = irls_fit(dataset, system)
+        shifted = irls_fit(Dataset(x=dataset.x + c, y=dataset.y + c), system)
+        np.testing.assert_allclose(shifted.slopes, fit.slopes, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(shifted.intercepts, fit.intercepts + c * (1.0 - fit.slopes), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(shifted.case_weights, fit.case_weights, rtol=0, atol=1e-6)
 
 
 def test_dataset_x_of_two_dimensions_is_a_data_error():

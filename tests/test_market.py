@@ -77,6 +77,16 @@ class TestLoadQuotes:
         with pytest.raises(DataError, match="line 1"):
             load_quotes(io.StringIO("date,code,px\n2012-05-03,Q+1,43.20\n"))
 
+    def test_one_leading_byte_order_mark_is_read_past(self, tmp_path):
+        # Excel's "CSV UTF-8" export writes U+FEFF before the header
+        path = tmp_path / "excel.csv"
+        path.write_text(TABLE_SNAPSHOT, encoding="utf-8-sig")
+        expected = _items(load_quotes(io.StringIO(TABLE_SNAPSHOT)))
+        assert _items(load_quotes(path)) == _items(load_quotes(io.StringIO("\ufeff" + TABLE_SNAPSHOT))) == expected
+        for text in ("\ufeff\ufeff" + TABLE_SNAPSHOT, "\n\ufeff" + TABLE_SNAPSHOT):  # one mark, on line 1 alone
+            with pytest.raises(DataError, match="^line 1: expected header "):
+                load_quotes(io.StringIO(text))
+
     def test_duplicate_rejected(self):
         csv = (
             "quote_date,contract,price\n"
@@ -181,8 +191,12 @@ class TestLoadQuotes:
         day = date(2013, 1, 2).toordinal()
         for columns, message in [
             (([day, day], [0], [1.0, 2.0]), "of one length"),
-            (([day], [1], [1.0]), "label code out of range"),
-            (([0], [0], [1.0]), "ordinal out of range"),
+            (([day], [1], [1.0]), "^codes must be whole numbers >= 0 and < 1$"),
+            (([0], [0], [1.0]), "^days must be whole numbers >= 1 and <= 3652059$"),
+            (([day + 0.7], [0], [1.0]), "^days must be whole numbers >= 1 and <= 3652059$"),
+            (([str(day)], [0], [1.0]), "^days must be numbers in a regular array$"),
+            (([day], [0.5], [1.0]), "^codes must be whole numbers >= 0 and < 1$"),
+            (([day], ["0"], [1.0]), "^codes must be numbers in a regular array$"),
         ]:
             with pytest.raises(DataError, match=message):
                 QuoteTable(*columns, ["CAL-2014"])

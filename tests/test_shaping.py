@@ -239,7 +239,7 @@ class TestRecalibration:
         ds = synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=100, noise=0.3)
         prior = irls_fit(ds, equal_weight_system)
         match = MarketMatch(child_index=child, traded_price=50.0, parent_quote=49.0)
-        with pytest.raises(DataError, match=f"market match child {child!r}"):
+        with pytest.raises(DataError, match=f"^market match child_index must be an integer >= 0 and < 4, not {child!r}$"):
             recalibrate_with_traded(ds, equal_weight_system, market_match=match, prior=prior)
 
     def test_market_match_rejects_nan_traded_price(self):
