@@ -91,6 +91,8 @@ class SyntheticMarketConfig:
             raise DataError(f"noise_scale must be one number or one per weight, not of shape {noise_scale.shape}")
         if not np.isfinite(noise_scale).all():
             raise DataError("noise_scale must be finite")
+        if not isinstance(self.x_path, XPathParams):
+            raise DataError(f"x_path must be an XPathParams, not {self.x_path!r}")
         for name in ("level", "seasonal_amplitude", "period_days", "noise"):
             _number(getattr(self.x_path, name), f"x_path.{name}")
         if self.x_path.period_days == 0:  # the seasonal swing divides by it
@@ -258,8 +260,8 @@ def backtest(
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise DataError(f"unknown methods: {unknown}; expected from {METHOD_NAMES}")
-    first = min(_date(train_range[0], "train_range start"), _date(test_range[0], "test_range start"))
-    last = max(_date(train_range[1], "train_range end"), _date(test_range[1], "test_range end"))
+    train_range, test_range = _date_range(train_range, "train_range"), _date_range(test_range, "test_range")
+    first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
     # Case ids lead with the ISO quote date, and the rows are sorted by it.
     days = [case_id.split("|")[0] for case_id in dataset.case_ids]
@@ -289,6 +291,13 @@ def backtest(
     return ComparisonTable(
         evaluations=evaluations, train_rows=train.n_cases, test_rows=test.n_cases
     )
+
+
+def _date_range(value, what: str) -> tuple[date, date]:
+    """``value``, a (start, end) pair of dates, as a tuple; ``what`` names it in the error."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise DataError(f"{what} must be a (start, end) pair of dates, not {value!r}")
+    return _date(value[0], f"{what} start"), _date(value[1], f"{what} end")
 
 
 def _rows(dataset: Dataset, start: int, stop: int, what: str) -> Dataset:

@@ -100,7 +100,6 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(
         weight_spec=spec,
         alpha_multiplier=_parse_alpha(args.alpha),
-        scale_estimator=args.scale,
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,
     )
@@ -276,7 +275,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None)
         p.add_argument("--alpha", default="AUTO", help="penalty multiplier c (alpha = c*N*Qn(Y)) or AUTO")
         p.add_argument("--weight-fn", choices=("hampel", "bisquare"), default="hampel")
-        p.add_argument("--scale", choices=("mad", "qn"), default="mad")
         p.add_argument("--tolerance", type=float, default=1e-8)
         p.add_argument("--max-iterations", type=int, default=100)
 

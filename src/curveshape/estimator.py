@@ -71,7 +71,6 @@ class FitConfig:
     with s the pooled response scale; it is a real c >= 0 (``inf`` allowed)
     or the string ``"auto"``, which means c = 1.  A zero s(Y) with c > 0
     gives the exact equality-constrained limit (alpha = inf).
-    ``scale_estimator`` picks the column-residual standardization scale.
     With ``feasibility_retry`` a fit whose ``arbitrage_gap`` exceeds
     ``constraints.FEASIBILITY_TOLERANCE``, or is NaN, is re-run once at the
     exact equality-constrained limit (alpha = inf); that is the tolerance
@@ -80,7 +79,6 @@ class FitConfig:
 
     weight_spec: WeightFunctionSpec = field(default_factory=WeightFunctionSpec)
     alpha_multiplier: float | str = "auto"
-    scale_estimator: str = "mad"
     tolerance: float = 1e-8
     max_iterations: int = 100
     feasibility_retry: bool = True
@@ -88,8 +86,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         _number(self.tolerance, "tolerance", gt=0)
         _number(self.max_iterations, "max_iterations", ge=1, integer=True)
-        if self.scale_estimator not in ("mad", "qn"):
-            raise DataError(f"unknown scale estimator: {self.scale_estimator!r}")
+        if not isinstance(self.feasibility_retry, (bool, np.bool_)):  # "no" is truthy
+            raise DataError(f"feasibility_retry must be a bool, not {self.feasibility_retry!r}")
         if not (isinstance(self.alpha_multiplier, str) and self.alpha_multiplier == "auto"):
             _number(self.alpha_multiplier, "alpha_multiplier", ge=0, le=math.inf)
 
@@ -206,21 +204,17 @@ def _initial_weights(
     return np.sqrt(w_x * w_y), w_x, degenerate
 
 
-def _residual_distances(
-    r: np.ndarray, scale_estimator: str
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _residual_distances(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-case distances of robustly centered and scaled residual rows, with the scales.
 
     Each column is median-centered and divided by its consistency-scaled
-    MAD (or Qn); the K standardized entries combine as the Euclidean norm
-    over sqrt(K), so clean Gaussian cases sit near 1 regardless of K.  The
-    MAD is ``mad_scale(r, axis=0)``'s, taken with the absolute deviations it
+    MAD; the K standardized entries combine as the Euclidean norm over
+    sqrt(K), so clean Gaussian cases sit near 1 regardless of K.  The MAD
+    is ``mad_scale(r, axis=0)``'s, taken with the absolute deviations it
     leaves, whose squares are the centered values' squares.  A degenerate
     scale warns at the line that called ``irls_fit``.
     """
     dev, scales = _mad(r)
-    if scale_estimator == "qn":
-        scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
     if (scales > 0.0).all():
         degenerate, z = False, dev / scales
     else:  # a zero scale is flagged, a NaN one is not; either column standardizes to 0
@@ -371,9 +365,7 @@ def _fit_loop(
     for iterations in range(1, config.max_iterations + 1):
         gamma = penalized_wls_solve(dataset.x, y, weights, system, alpha, fixed)
         intercepts = gamma[1::2]
-        d_r, scales, degen_r = _residual_distances(
-            _residuals(dataset, gamma), config.scale_estimator
-        )
+        d_r, scales, degen_r = _residual_distances(_residuals(dataset, gamma))
         degen = degen or degen_r
         weights = np.sqrt(w_x * spec.weight(d_r))
         if intercepts_prev is not None and np.abs(intercepts - intercepts_prev).max() < config.tolerance:

@@ -26,12 +26,14 @@ class DegenerateScaleWarning(UserWarning):
 def _floats(value, what: str) -> np.ndarray:
     """A new float array of ``value``, which a config or caller supplied; ``what`` names it in the error.
 
-    Text is refused even where it spells a number; ``None`` (JSON null) becomes NaN.
+    Text is refused even where it spells a number, and so are bools that numpy reads as a bool array
+    (``[True]``, a JSON ``true``); ``None`` (JSON null) becomes NaN.
     """
     message = f"{what} must be numbers in a regular array"
     try:
         array = np.asarray(value)
-        if not (array.dtype.kind in "OU" and any(isinstance(v, str) for v in array.flat)):
+        text = array.dtype.kind in "OU" and any(isinstance(v, str) for v in array.flat)
+        if not (text or array.dtype.kind == "b"):
             return np.array(array, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # an object, ragged lists or an int past a float
         raise DataError(message) from exc

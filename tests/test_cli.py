@@ -698,7 +698,7 @@ def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, command, payl
         ("simulate", "--gamma", {"gamma": None}, "at least one (A, B) pair"),
         ("simulate", "--gamma", {"gamma": []}, "at least one (A, B) pair"),
         ("simulate", "--gamma", {"gamma": [1]}, "at least one (A, B) pair"),
-        ("simulate", "--gamma", {"gamma": True}, "at least one (A, B) pair"),
+        ("simulate", "--gamma", {"gamma": True}, "must be numbers"),  # a bool is not a number
         ("simulate", "--gamma", {"gamma": {"a": 1}}, "must be numbers"),
         ("simulate", "--gamma", {"gamma": ["a"] * 8}, "must be numbers"),
         ("simulate", "--gamma", {"gamma": [[1.12, -1.6], [0.88]]}, "must be numbers"),

@@ -148,12 +148,25 @@ _FIT = FitResult(
         pytest.param(lambda v: verify_consistency(1.0, v, _W), "child_prices", id="verify_consistency-prices"),
         pytest.param(lambda v: verify_consistency(1.0, _W, v), "weights", id="verify_consistency-weights"),
         pytest.param(lambda v: QuoteTable([1], [0], v, ["CAL-2014"]), "prices", id="QuoteTable-prices"),
+        pytest.param(lambda v: QuoteTable(v, [0], [50.0], ["CAL-2014"]), "days", id="QuoteTable-days"),
+        pytest.param(lambda v: QuoteTable([735000], v, [50.0], ["CAL-2014"]), "codes", id="QuoteTable-codes"),
     ],
 )
-@pytest.mark.parametrize("bad", [["0.25", "0.5"], [[1.0], [1.0, 2.0]], object()], ids=["text", "ragged", "object"])
+@pytest.mark.parametrize(
+    "bad", [["0.25", "0.5"], [[1.0], [1.0, 2.0]], object(), [True, False]], ids=["text", "ragged", "object", "bools"]
+)
 def test_float_array_parameters_refuse_text_ragged_lists_and_objects(read, name, bad):
     with pytest.raises(exceptions.DataError, match=f"^{name} must be numbers in a regular array$"):
         read(bad)
+
+
+def test_bools_are_refused_unless_mixed_with_numbers():
+    # numpy reads True as 1.0, so a bool noise_scale was a noise of 1.0
+    for bad in (True, np.array([False])):
+        with pytest.raises(exceptions.DataError, match="^noise_scale must be numbers in a regular array$"):
+            _market(noise_scale=bad)
+    # a list with a float in it is a float array before _floats sees it
+    assert exceptions._floats([0.5, True], "weights").tolist() == [0.5, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -354,3 +367,22 @@ def test_date_bounds_are_dates(bad):
             backtest(table, train, test, ["mcrm"], _SYSTEM)
     with pytest.raises(exceptions.DataError, match="^start must be a date, not "):
         _market(start=bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(date(2013, 1, 2),), (date(2013, 1, 2), date(2013, 3, 1), date(2013, 6, 30)), "2013-01-02:2013-06-30", None],
+    ids=["one-date", "three-dates", "text", "None"],
+)
+def test_backtest_ranges_are_start_end_pairs(bad):
+    table = QuoteTable([735000], [0], [50.0], ["CAL-2014"])
+    good = (date(2013, 1, 2), date(2013, 6, 30))
+    for train, test, name in [(bad, good, "train_range"), (good, bad, "test_range")]:
+        with pytest.raises(exceptions.DataError, match=re.escape(f"{name} must be a (start, end) pair of dates, not ")):
+            backtest(table, train, test, ["mcrm"], _SYSTEM)
+
+
+@pytest.mark.parametrize("bad", [None, {"level": 50.0}], ids=["None", "dict"])
+def test_x_path_is_an_xpathparams(bad):
+    with pytest.raises(exceptions.DataError, match=re.escape(f"x_path must be an XPathParams, not {bad!r}")):
+        _market(x_path=bad)

@@ -36,7 +36,7 @@ def initial_weights(dataset):
 
 
 def residual_distances(residuals):
-    return _residual_distances(residuals, "mad")[0]
+    return _residual_distances(residuals)[0]
 
 
 def zero_qn_dataset():
@@ -130,7 +130,7 @@ class TestResidualDistances:
     def test_folded_mad_equals_mad_scale(self, n, rng):
         # one median per column; for even N the MAD must not re-round
         r = 50.0 + rng.standard_normal((n, 4)) * rng.uniform(0.1, 10.0, 4)
-        _, scales, degenerate = _residual_distances(r, "mad")
+        _, scales, degenerate = _residual_distances(r)
         np.testing.assert_array_equal(scales, mad_scale(r, axis=0))
         assert not degenerate
 
@@ -546,13 +546,15 @@ def test_fit_config_validation():
             FitConfig(tolerance=bad)
     with pytest.raises(DataError):
         FitConfig(max_iterations=0)
-    with pytest.raises(DataError):
-        FitConfig(scale_estimator="iqr")
     for bad in ("sometimes", None, True, -1.0, float("nan")):
         with pytest.raises(DataError, match="alpha_multiplier"):
             FitConfig(alpha_multiplier=bad)
     for good in ("auto", 0, 2.5, np.float64(1.0), float("inf")):
         FitConfig(alpha_multiplier=good)
+    for bad in ("no", 0, 1.0, None):  # "no" is truthy: the fit retried
+        with pytest.raises(DataError, match=f"^feasibility_retry must be a bool, not {bad!r}$"):
+            FitConfig(feasibility_retry=bad)
+    FitConfig(feasibility_retry=np.bool_(False))
 
 
 def test_baseline_residual_scales_are_column_mad(rng, equal_weight_system):
@@ -574,14 +576,6 @@ def test_baselines_flag_zero_residual_scales():
         np.testing.assert_array_equal(result.residual_scales, [0.0, 0.0])
         assert result.degenerate_scale, result.method
         assert result.to_report()["diagnostics"]["degenerate_scale"] is True
-
-
-def test_qn_scale_estimator_option(rng, equal_weight_system):
-    gamma = arbitrage_free_gamma(rng, 4)
-    ds = synthetic_dataset(rng, gamma, n=120, noise=0.4)
-    result = irls_fit(ds, equal_weight_system, FitConfig(scale_estimator="qn"))
-    assert result.converged
-    assert np.all(result.residual_scales > 0)
 
 
 def reference_weight(kind: str, x: np.ndarray) -> np.ndarray:
@@ -622,12 +616,9 @@ def reference_solve(x, y, w, h, alpha, fixed):
     return gamma.reshape(-1)
 
 
-def reference_distances(r, scale_estimator: str = "mad"):
+def reference_distances(r):
     centered = r - np.median(r, axis=0)
-    if scale_estimator == "qn":
-        scales = np.array([qn_scale(r[:, k]) for k in range(r.shape[1])])
-    else:
-        scales = MAD_CONSISTENCY * np.median(np.abs(centered), axis=0)
+    scales = MAD_CONSISTENCY * np.median(np.abs(centered), axis=0)
     z = np.divide(centered, scales, out=np.zeros_like(centered), where=scales > 0.0)
     return np.linalg.norm(z, axis=1) / np.sqrt(r.shape[1]), scales
 
@@ -649,7 +640,7 @@ def reference_fit(dataset, system, config, fixed=None):
         weights, previous = start, None
         for iterations in range(1, config.max_iterations + 1):
             gamma = reference_solve(x, y, weights, h, alpha, fixed or {})
-            d, scales = reference_distances(y - x[:, None] * gamma[0::2] - gamma[1::2], config.scale_estimator)
+            d, scales = reference_distances(y - x[:, None] * gamma[0::2] - gamma[1::2])
             weights = np.sqrt(w_x * reference_weight(kind, d))
             if previous is not None and float(np.max(np.abs(gamma[1::2] - previous))) < config.tolerance:
                 break
@@ -662,13 +653,12 @@ def reference_fit(dataset, system, config, fixed=None):
     return kept
 
 
-def desk_dataset(seed: int, n_dates: int = 250) -> Dataset:
+def desk_dataset(seed: int) -> Dataset:
     """CAL -> 4 quarters at price level 50 with 20% vertical outliers of size 10."""
     truth = arbitrage_free_gamma(np.random.default_rng(seed), 4)
     config = SyntheticMarketConfig(
         true_gamma=truth,
         weights=EQUAL_WEIGHTS,
-        n_dates=n_dates,
         contamination_fraction=0.2,
         outlier_magnitude=10.0,
         seed=seed,
@@ -701,7 +691,6 @@ class TestReferenceIteration:
         "hourly-k24": (lambda: hourly_dataset(4), 24, FitConfig(), None),
         "pinned-child": (lambda: desk_dataset(5), 4, FitConfig(), {1: (0.9, 1.25)}),
         "bisquare": (lambda: desk_dataset(6), 4, FitConfig(weight_spec=WeightFunctionSpec("bisquare")), None),
-        "qn-scales": (lambda: desk_dataset(7, 120), 4, FitConfig(scale_estimator="qn"), None),
         "finite-c-no-retry": (
             lambda: desk_dataset(8), 4, FitConfig(alpha_multiplier=1e6, feasibility_retry=False), None
         ),
@@ -733,19 +722,19 @@ class TestReferenceIteration:
         rng = np.random.default_rng(shape[0])
         r = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[1]) + 50.0
         r[rng.random(shape) < 0.1] += 30.0
-        d, scales, degenerate = _residual_distances(r, "mad")
+        d, scales, degenerate = _residual_distances(r)
         expected_d, expected_scales = reference_distances(r)
         assert np.array_equal(d, expected_d) and np.array_equal(scales, expected_scales) and not degenerate
 
     def test_zero_and_nan_scales_standardize_to_zero(self):
         r = np.random.default_rng(14).standard_normal((40, 3))
         r[5, 2] = np.nan  # a NaN residual gives a NaN scale, which is not flagged
-        d, scales, degenerate = _residual_distances(r, "mad")
+        d, scales, degenerate = _residual_distances(r)
         assert np.isnan(scales[2]) and not degenerate
         assert np.array_equal(d, reference_distances(r)[0]) and np.isfinite(d).all()
         r[:, 1] = 7.0  # a zero scale is
         with pytest.warns(DegenerateScaleWarning):
-            d, scales, degenerate = _residual_distances(r, "mad")
+            d, scales, degenerate = _residual_distances(r)
         assert scales[1] == 0.0 and degenerate
         assert np.array_equal(d, reference_distances(r)[0]) and np.isfinite(d).all()
 

@@ -1,5 +1,6 @@
 """The package's public surface: ``curveshape.__all__`` and the names README uses."""
 
+import argparse
 import dataclasses
 import inspect
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import curveshape as cs
+from curveshape import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,10 +65,7 @@ PUBLIC = {
 # Every option of the public config and data classes.  A new field is a new
 # knob, and it needs an edit here.
 FIELDS = {
-    "FitConfig": (
-        "weight_spec", "alpha_multiplier", "scale_estimator", "tolerance", "max_iterations",
-        "feasibility_retry",
-    ),
+    "FitConfig": ("weight_spec", "alpha_multiplier", "tolerance", "max_iterations", "feasibility_retry"),
     "SyntheticMarketConfig": (
         "true_gamma", "weights", "n_dates", "start", "delivery_year", "x_path", "noise_scale",
         "contamination_fraction", "outlier_magnitude", "contamination_type",
@@ -116,6 +115,21 @@ PARAMETERS = {
 }
 
 
+# Every option of each CLI subcommand, pinned for the same reason; --help aside.
+FIT_FLAGS = ("--quotes", "--split", "--out", "--alpha", "--weight-fn", "--tolerance", "--max-iterations")
+CLI_OPTIONS = {
+    "fit": ("--method", *FIT_FLAGS),
+    "predict": ("--coeffs", "--cascade", "--parent-price", "--target", "--override-arbitrage", "--out"),
+    "backtest": ("--train", "--test", "--methods", "--refit", *FIT_FLAGS),
+    "outliers": ("--threshold", *FIT_FLAGS),
+    "check-arbitrage": ("--coeffs", "--split", "--tol"),
+    "simulate": (
+        "--out", "--labels-out", "--gamma", "--seed", "--n-dates", "--start-date", "--year", "--level",
+        "--amplitude", "--path-noise", "--noise", "--fraction", "--magnitude", "--contamination-type",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_public_dataclass_fields_are_pinned(name):
     assert tuple(f.name for f in dataclasses.fields(getattr(cs, name))) == FIELDS[name]
@@ -124,6 +138,15 @@ def test_public_dataclass_fields_are_pinned(name):
 def test_public_function_parameters_are_pinned():
     functions = {name: getattr(cs, name) for name in cs.__all__ if inspect.isfunction(getattr(cs, name))}
     assert {name: tuple(inspect.signature(fn).parameters) for name, fn in functions.items()} == PARAMETERS
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: tuple(s for action in parser._actions if action.dest != "help" for s in action.option_strings)
+        for name, parser in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_all_is_the_public_surface():
