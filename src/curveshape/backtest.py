@@ -10,7 +10,7 @@ import numpy as np
 
 from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap, constraints_for_weights
 from .estimator import Dataset, FitConfig, FitResult, classical_fit, irls_fit, ratio_average_result
-from .exceptions import DataError, _date, _floats, _number
+from .exceptions import DataError, _date, _flag, _floats, _number
 from .market import QuoteTable, build_regression_dataset
 from .periods import period_children, year_period
 
@@ -261,6 +261,7 @@ def backtest(
     if unknown:
         raise DataError(f"unknown methods: {unknown}; expected from {METHOD_NAMES}")
     train_range, test_range = _date_range(train_range, "train_range"), _date_range(test_range, "test_range")
+    _flag(refit_out_of_sample, "refit_out_of_sample")
     first, last = min(train_range[0], test_range[0]), max(train_range[1], test_range[1])
     dataset, _ = build_regression_dataset(table.filter_dates(first, last), parent_kind, child_kind)
     # Case ids lead with the ISO quote date, and the rows are sorted by it.

@@ -100,8 +100,6 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(
         weight_spec=spec,
         alpha_multiplier=_parse_alpha(args.alpha),
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
     )
 
 
@@ -215,8 +213,8 @@ def _cmd_check_arbitrage(args) -> int:
     split = split_from_config(_read_json(args.split))
     gamma = gamma_from_report(report, split.child_labels)
     max_gap = arbitrage_gap(constraints_for_weights(split.weights), gamma)
-    sys.stdout.write(f"max-abs arbitrage gap: {max_gap:.6g} (tolerance {args.tol:g})\n")
-    if not max_gap <= args.tol:  # a NaN gap is a violation
+    sys.stdout.write(f"max-abs arbitrage gap: {max_gap:.6g} (tolerance {FEASIBILITY_TOLERANCE:g})\n")
+    if not max_gap <= FEASIBILITY_TOLERANCE:  # a NaN gap is a violation
         sys.stderr.write("non-arbitrage constraints violated\n")
         return 2
     return 0
@@ -275,8 +273,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None)
         p.add_argument("--alpha", default="AUTO", help="penalty multiplier c (alpha = c*N*Qn(Y)) or AUTO")
         p.add_argument("--weight-fn", choices=("hampel", "bisquare"), default="hampel")
-        p.add_argument("--tolerance", type=float, default=1e-8)
-        p.add_argument("--max-iterations", type=int, default=100)
 
     p_fit = sub.add_parser("fit", help="estimate shaping coefficients from quotes")
     p_fit.add_argument("--method", choices=METHOD_NAMES, default="mcrm")
@@ -311,7 +307,6 @@ def build_parser() -> _Parser:
     p_chk = sub.add_parser("check-arbitrage", help="verify a coefficient report against a split")
     p_chk.add_argument("--coeffs", required=True, help="fit report JSON")
     p_chk.add_argument("--split", required=True)
-    p_chk.add_argument("--tol", type=float, default=FEASIBILITY_TOLERANCE)
     p_chk.set_defaults(func=_cmd_check_arbitrage)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic quote table")

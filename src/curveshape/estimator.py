@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import FEASIBILITY_TOLERANCE, ConstraintSystem, arbitrage_gap, split_from_config
-from .exceptions import DataError, DegenerateScaleWarning, NumericalError, _floats, _number
+from .exceptions import DataError, DegenerateScaleWarning, NumericalError, _flag, _floats, _number
 from .robust import WeightFunctionSpec, _mad, _median, mad_scale, qn_scale
 
 _SCALE_FLOOR = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+STOP_TOLERANCE = 1e-8  # IRLS stops once no intercept moves by this much in one iteration
+MAX_ITERATIONS = 100  # an IRLS pass stops here unconverged, flagged on its result
 
 
 @dataclass
@@ -79,15 +81,12 @@ class FitConfig:
 
     weight_spec: WeightFunctionSpec = field(default_factory=WeightFunctionSpec)
     alpha_multiplier: float | str = "auto"
-    tolerance: float = 1e-8
-    max_iterations: int = 100
     feasibility_retry: bool = True
 
     def __post_init__(self) -> None:
-        _number(self.tolerance, "tolerance", gt=0)
-        _number(self.max_iterations, "max_iterations", ge=1, integer=True)
-        if not isinstance(self.feasibility_retry, (bool, np.bool_)):  # "no" is truthy
-            raise DataError(f"feasibility_retry must be a bool, not {self.feasibility_retry!r}")
+        _flag(self.feasibility_retry, "feasibility_retry")
+        if not isinstance(self.weight_spec, WeightFunctionSpec):
+            raise DataError(f"weight_spec must be a WeightFunctionSpec, not {self.weight_spec!r}")
         if not (isinstance(self.alpha_multiplier, str) and self.alpha_multiplier == "auto"):
             _number(self.alpha_multiplier, "alpha_multiplier", ge=0, le=math.inf)
 
@@ -362,13 +361,13 @@ def _fit_loop(
     y = np.asfortranarray(dataset.y)  # once per pass, in the layout penalized_wls_solve uses
     intercepts_prev = None
     converged = False
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         gamma = penalized_wls_solve(dataset.x, y, weights, system, alpha, fixed)
         intercepts = gamma[1::2]
         d_r, scales, degen_r = _residual_distances(_residuals(dataset, gamma))
         degen = degen or degen_r
         weights = np.sqrt(w_x * spec.weight(d_r))
-        if intercepts_prev is not None and np.abs(intercepts - intercepts_prev).max() < config.tolerance:
+        if intercepts_prev is not None and np.abs(intercepts - intercepts_prev).max() < STOP_TOLERANCE:
             converged = True
             break
         intercepts_prev = intercepts

@@ -26,14 +26,14 @@ class DegenerateScaleWarning(UserWarning):
 def _floats(value, what: str) -> np.ndarray:
     """A new float array of ``value``, which a config or caller supplied; ``what`` names it in the error.
 
-    Text is refused even where it spells a number, and so are bools that numpy reads as a bool array
-    (``[True]``, a JSON ``true``); ``None`` (JSON null) becomes NaN.
+    Text is refused even where it spells a number, and so are bools, in a bool array (``[True]``, a JSON ``true``)
+    or an object one (``[True, None]``); ``None`` (JSON null) becomes NaN.
     """
     message = f"{what} must be numbers in a regular array"
     try:
         array = np.asarray(value)
-        text = array.dtype.kind in "OU" and any(isinstance(v, str) for v in array.flat)
-        if not (text or array.dtype.kind == "b"):
+        kind = array.dtype.kind
+        if not (kind == "b" or kind in "OU" and any(isinstance(v, (str, bool, np.bool_)) for v in array.flat)):
             return np.array(array, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # an object, ragged lists or an int past a float
         raise DataError(message) from exc
@@ -57,6 +57,13 @@ def _number(value, what: str, *, ge=None, gt=None, le=None, lt=None, integer: bo
     kind = "an integer" if integer else "a number" if le == math.inf else "a finite number"
     limits = " and".join(f" {op} {b}" for op, b in zip((">=", ">", "<=", "<"), (ge, gt, le, lt)) if b is not None)
     raise DataError(f"{what} must be {kind}{limits}, not {value!r}")
+
+
+def _flag(value, what: str) -> bool:
+    """``value`` if it is a bool, numpy's included; ``what`` names it in the error, since ``"no"`` is truthy."""
+    if isinstance(value, (bool, np.bool_)):
+        return value
+    raise DataError(f"{what} must be a bool, not {value!r}")
 
 
 def _date(value, what: str) -> date:

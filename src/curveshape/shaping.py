@@ -23,7 +23,7 @@ from .constraints import (
     split_to_config,
 )
 from .estimator import Dataset, FitConfig, FitResult, gamma_from_report, irls_fit
-from .exceptions import DataError, _floats, _number
+from .exceptions import DataError, _flag, _floats, _number
 from .periods import Period, parse_period_label
 
 DAY_TYPES = ("WD", "SAT", "SUN")
@@ -63,7 +63,7 @@ def apply_level(parent_price: float, level: ShapingLevel, override: bool = False
 
     Unless ``override`` is set, a ``max_gap`` above ``FEASIBILITY_TOLERANCE``, or NaN, raises.
     """
-    if not override and not level.max_gap <= FEASIBILITY_TOLERANCE:
+    if not level.max_gap <= FEASIBILITY_TOLERANCE and not _flag(override, "override"):
         raise DataError(
             f"level for {level.split.parent_label!r} violates non-arbitrage "
             f"(max gap {level.max_gap:.3g}); pass override to force"
@@ -109,6 +109,7 @@ def cascade(parent_price: float, casc: ShapingCascade, target: str, override: bo
     owner must sit at a strictly earlier level than the one before, ending at
     the root.  A label with no such chain has no shaping path.
     """
+    _flag(override, "override")
     chain: list[tuple[int, str, int]] = []
     label, level_idx = target, len(casc.levels)
     while label != casc.root:
@@ -135,6 +136,7 @@ def shape_curve(
     if depth is None:
         depth = len(casc.levels)
     _number(depth, "depth", ge=0, le=len(casc.levels), integer=True)
+    _flag(override, "override")
     frontier = [(casc.root, 1.0, float(_number(parent_price, "parent_price")))]
     for level_map in casc.levels[:depth]:
         nxt = []

@@ -565,7 +565,7 @@ class TestCheckArbitrage:
                 }
             )
         )
-        rc = main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split), "--tol", "0.01"])
+        rc = main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split)])
         assert rc == 0
         assert "arbitrage gap" in capsys.readouterr().out
 
@@ -582,7 +582,7 @@ class TestCheckArbitrage:
                 }
             )
         )
-        rc = main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split), "--tol", "1e-6"])
+        rc = main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split)])
         assert rc == 2
         assert "violated" in capsys.readouterr().err
 
@@ -844,8 +844,7 @@ class TestSimulate:
 @pytest.mark.parametrize(
     "flag",
     [
-        "--level", "--amplitude", "--path-noise", "--noise", "--magnitude", "--parent-price",
-        "--threshold", "--tol", "--tolerance",
+        "--level", "--amplitude", "--path-noise", "--noise", "--magnitude", "--parent-price", "--threshold",
     ],
 )
 def test_non_finite_number_flag_is_a_data_error(tmp_path, capsys, flag, value):
@@ -854,24 +853,16 @@ def test_non_finite_number_flag_is_a_data_error(tmp_path, capsys, flag, value):
         cascade = tmp_path / "cascade.json"
         cascade.write_text(json.dumps(TestPredict().cascade_config([[1.0, 0.0]] * 4)))
         argv = ["predict", "--cascade", str(cascade), "--target", "quarter", "--out", str(out)]
-    elif flag in ("--threshold", "--tol", "--tolerance"):
-        # A real desk market and fit, so that only the flag can fail the command:
-        # a nan threshold flagged no case and an inf tol passed any finite gap.
-        split, quotes, fit = tmp_path / "split.json", tmp_path / "quotes.csv", tmp_path / "fit.json"
+    elif flag == "--threshold":
+        # A real desk market, so that only the flag can fail the command: a nan threshold flagged no case.
+        split, quotes = tmp_path / "split.json", tmp_path / "quotes.csv"
         split.write_text(json.dumps(SPLIT_CONFIG))
         assert main(["simulate", "--out", str(quotes), "--seed", "3", "--n-dates", "60", "--fraction", "0.2"]) == 0
-        files = ["--quotes", str(quotes), "--split", str(split)]
-        assert main(["fit", *files, "--out", str(fit)]) == 0
-        argv = {
-            "--threshold": ["outliers", *files, "--out", str(out)],
-            "--tol": ["check-arbitrage", "--coeffs", str(fit), "--split", str(split)],
-            "--tolerance": ["fit", *files, "--out", str(out)],
-        }[flag]
+        argv = ["outliers", "--quotes", str(quotes), "--split", str(split), "--out", str(out)]
     else:
         argv = ["simulate", "--n-dates", "20", "--out", str(out)]
     assert main([*argv, f"{flag}={value}"]) == 2
-    captured = capsys.readouterr()
-    assert "must be finite" in captured.err and "arbitrage gap" not in captured.out
+    assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -929,7 +920,7 @@ class TestReadmeFlow:
 
     def test_check_arbitrage_passes_at_tight_tolerance(self, fitted):
         fit, split = fitted
-        assert main(["check-arbitrage", "--coeffs", str(fit), "--split", str(split), "--tol", "1e-6"]) == 0
+        assert main(["check-arbitrage", "--coeffs", str(fit), "--split", str(split)]) == 0
 
 
 @pytest.fixture(scope="module")

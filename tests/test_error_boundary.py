@@ -7,8 +7,9 @@ fails here before a probe input finds it, as does a module other than
 ``exceptions`` that decides for itself what counts as a number.  The rest
 run the integer parameters whose floats and bools used to reach ``range``
 or numpy, every public float-array parameter with text, ragged lists and an
-object, and every public number parameter with text, a bool, ``None``, NaN,
-a 0-d array and a value past its bounds.
+object, every public number parameter with text, a bool, ``None``, NaN,
+a 0-d array and a value past its bounds, and every public bool parameter
+with text, numbers and ``None``.
 """
 
 import ast
@@ -31,6 +32,7 @@ from curveshape import (
     QuoteTable,
     SyntheticMarketConfig,
     XPathParams,
+    apply_level,
     arbitrage_gap,
     backtest,
     cascade,
@@ -165,6 +167,9 @@ def test_bools_are_refused_unless_mixed_with_numbers():
     for bad in (True, np.array([False])):
         with pytest.raises(exceptions.DataError, match="^noise_scale must be numbers in a regular array$"):
             _market(noise_scale=bad)
+    # numpy reads a bool among None (JSON null) as an object, which float() took as 1.0
+    with pytest.raises(exceptions.DataError, match="^x must be numbers in a regular array$"):
+        exceptions._floats([True, None], "x")
     # a list with a float in it is a float array before _floats sees it
     assert exceptions._floats([0.5, True], "weights").tolist() == [0.5, 1.0]
 
@@ -202,12 +207,6 @@ def _synthesize(**params):
     return synthesize_market(SyntheticMarketConfig(true_gamma=gamma, weights=weights, **params))
 
 
-def _fit(**params):
-    rng = np.random.default_rng(1)
-    system = constraints_for_weights(np.full(4, 0.25))
-    return irls_fit(synthetic_dataset(rng, arbitrage_free_gamma(rng, 4), n=40), system, FitConfig(**params))
-
-
 def _recalibrate(child_index):
     rng = np.random.default_rng(2)
     system = constraints_for_weights(np.full(4, 0.25))
@@ -222,10 +221,9 @@ def _recalibrate(child_index):
         (_synthesize, "n_dates", 5),
         (_synthesize, "seed", 1),
         (_synthesize, "delivery_year", 2014),
-        (_fit, "max_iterations", 5),
         (_recalibrate, "child_index", 1),
     ],
-    ids=["n_dates", "seed", "delivery_year", "max_iterations", "child_index"],
+    ids=["n_dates", "seed", "delivery_year", "child_index"],
 )
 @pytest.mark.parametrize("bad", [2.5, True, 1.0])
 def test_integer_parameters_refuse_floats_and_bools(run, field, good, bad):
@@ -268,8 +266,6 @@ def _solve_pinned(a=1.0, b=0.0):
 # Each public number parameter: how to pass it, the name its error gives, whether None has a
 # meaning there, and values past its bounds.
 _NUMBERS = {
-    "FitConfig-tolerance": (lambda v: FitConfig(tolerance=v), "tolerance", False, [0.0, -1e-8, math.inf]),
-    "FitConfig-max_iterations": (lambda v: FitConfig(max_iterations=v), "max_iterations", False, [0]),
     "FitConfig-alpha_multiplier": (lambda v: FitConfig(alpha_multiplier=v), "alpha_multiplier", False, [-1.0]),
     "penalized_wls_solve-alpha": (
         lambda v: penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, v), "alpha", False, [-1.0, -math.inf],
@@ -334,7 +330,8 @@ def test_number_parameters_refuse_text_bools_none_nan_arrays_and_values_past_the
 
 def test_number_parameters_take_their_edge_values():
     # the edges of each range, numpy's scalars and an infinite alpha pass
-    FitConfig(tolerance=np.float64(1e-300), max_iterations=np.int32(1), alpha_multiplier=math.inf)
+    FitConfig(alpha_multiplier=np.float64(1e-300))
+    FitConfig(alpha_multiplier=math.inf)
     assert np.isfinite(penalized_wls_solve(_X, _Y, np.ones(3), _SYSTEM, math.inf)).all()
     assert mad_scale(np.ones((3, 3)), axis=np.int64(-2)).shape == (3,)
     _market(contamination_fraction=0.4999, contamination_column=np.int64(1), delivery_year=9998, seed=0, n_dates=0)
@@ -386,3 +383,41 @@ def test_backtest_ranges_are_start_end_pairs(bad):
 def test_x_path_is_an_xpathparams(bad):
     with pytest.raises(exceptions.DataError, match=re.escape(f"x_path must be an XPathParams, not {bad!r}")):
         _market(x_path=bad)
+
+
+@pytest.mark.parametrize("bad", ["bisquare", None], ids=["text", "None"])
+def test_weight_spec_is_a_weightfunctionspec(bad):
+    # a kind's name built a config whose first weighting raised AttributeError
+    with pytest.raises(exceptions.DataError, match=re.escape(f"weight_spec must be a WeightFunctionSpec, not {bad!r}")):
+        FitConfig(weight_spec=bad)
+
+
+_VIOLATING = cascade_from_config(
+    {"root": "P", "levels": [{"splits": [{"parent": "P", "children": ["a", "b"], "weights": [0.5, 0.5],
+                                          "coefficients": [[1.1, 0.0], [1.0, 0.0]]}]}]}
+)
+
+
+@pytest.mark.parametrize(
+    "read, name",
+    [
+        pytest.param(lambda v: shape_curve(50.0, _VIOLATING, override=v), "override", id="shape_curve-override"),
+        pytest.param(lambda v: cascade(50.0, _VIOLATING, "a", override=v), "override", id="cascade-override"),
+        pytest.param(
+            lambda v: apply_level(50.0, _VIOLATING.levels[0]["P"], override=v), "override", id="apply_level-override",
+        ),
+        pytest.param(
+            lambda v: backtest(QuoteTable([735000], [0], [50.0], ["CAL-2014"]), (date(2013, 1, 2),) * 2,
+                               (date(2013, 1, 3),) * 2, ["mcrm"], _SYSTEM, refit_out_of_sample=v),
+            "refit_out_of_sample",
+            id="backtest-refit_out_of_sample",
+        ),
+    ],
+)
+@pytest.mark.parametrize("bad", ["no", 0, 1.0, None])
+def test_flag_parameters_refuse_anything_but_a_bool(read, name, bad):
+    # "no" is truthy: the violating level was applied, and the backtest refitted
+    with pytest.raises(exceptions.DataError, match=f"^{name} must be a bool, not {re.escape(repr(bad))}$"):
+        read(bad)
+    if name == "override":  # numpy's bool applies the violating level
+        read(np.bool_(True))

@@ -65,7 +65,7 @@ PUBLIC = {
 # Every option of the public config and data classes.  A new field is a new
 # knob, and it needs an edit here.
 FIELDS = {
-    "FitConfig": ("weight_spec", "alpha_multiplier", "tolerance", "max_iterations", "feasibility_retry"),
+    "FitConfig": ("weight_spec", "alpha_multiplier", "feasibility_retry"),
     "SyntheticMarketConfig": (
         "true_gamma", "weights", "n_dates", "start", "delivery_year", "x_path", "noise_scale",
         "contamination_fraction", "outlier_magnitude", "contamination_type",
@@ -116,13 +116,13 @@ PARAMETERS = {
 
 
 # Every option of each CLI subcommand, pinned for the same reason; --help aside.
-FIT_FLAGS = ("--quotes", "--split", "--out", "--alpha", "--weight-fn", "--tolerance", "--max-iterations")
+FIT_FLAGS = ("--quotes", "--split", "--out", "--alpha", "--weight-fn")
 CLI_OPTIONS = {
     "fit": ("--method", *FIT_FLAGS),
     "predict": ("--coeffs", "--cascade", "--parent-price", "--target", "--override-arbitrage", "--out"),
     "backtest": ("--train", "--test", "--methods", "--refit", *FIT_FLAGS),
     "outliers": ("--threshold", *FIT_FLAGS),
-    "check-arbitrage": ("--coeffs", "--split", "--tol"),
+    "check-arbitrage": ("--coeffs", "--split"),
     "simulate": (
         "--out", "--labels-out", "--gamma", "--seed", "--n-dates", "--start-date", "--year", "--level",
         "--amplitude", "--path-noise", "--noise", "--fraction", "--magnitude", "--contamination-type",
