@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import curveshape
 from curveshape.cli import main
 from curveshape.periods import month_period
-from curveshape.constraints import split_to_config
+from curveshape.constraints import FEASIBILITY_TOLERANCE, split_to_config
 from curveshape.shaping import daytype_split, hour_split
 
 SPLIT_CONFIG = {
@@ -619,6 +619,43 @@ class TestCheckArbitrage:
         captured = capsys.readouterr()
         assert captured.out.startswith("max-abs arbitrage gap: ")
         assert ("violated" in captured.err) == bool(code)
+
+    @pytest.mark.parametrize("b1, code", [(3.9e-6, 0), (4.1e-6, 2)], ids=["gap-9.75e-7", "gap-1.025e-6"])
+    def test_verdict_is_taken_at_the_feasibility_tolerance(self, workspace, capsys, b1, code):
+        # h . B = B1 / 4 lies just inside or just past FEASIBILITY_TOLERANCE (1e-6), the bound the fit keeps to.
+        tmp_path, _, split = workspace
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({"coefficients": dict(_PAIRS, B1=b1)}))
+        assert main(["check-arbitrage", "--coeffs", str(coeffs), "--split", str(split)]) == code
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"(tolerance {FEASIBILITY_TOLERANCE:g})\n")
+        assert ("violated" in captured.err) == bool(code)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *[(command, flag) for command in ("fit", "backtest", "outliers") for flag in ("--tolerance", "--max-iterations")],
+        ("check-arbitrage", "--tol"),
+    ],
+)
+def test_removed_stop_rule_and_tolerance_flags_are_usage_errors(workspace, capsys, command, flag):
+    # The IRLS stop rule and the arbitrage verdict are constants now: a script that still sets them
+    # is told so, and no output is written under a rule it did not ask for.
+    tmp_path, quotes, split = workspace
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["--quotes", str(quotes), "--split", str(split), "--out", str(out)],
+        "backtest": [
+            "--quotes", str(quotes), "--split", str(split), "--out", str(out),
+            "--train", "2013-01-02:2013-03-31", "--test", "2013-04-01:2013-05-01",
+        ],
+        "outliers": ["--quotes", str(quotes), "--split", str(split), "--out", str(out)],
+        "check-arbitrage": ["--coeffs", str(out), "--split", str(split)],
+    }[command]
+    assert main([command, *argv, flag, "5"]) == 1
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
